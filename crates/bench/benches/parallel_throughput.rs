@@ -202,7 +202,7 @@ fn main() {
     let runs: Vec<ServeRun> = worker_counts.iter().map(|&w| bench_serve(w, quick)).collect();
     for (w, run) in worker_counts.iter().zip(&runs) {
         println!(
-            "par/serve    w={w}                   {:>14.0} node-metrics/s/core",
+            "par/serve    w={w}                   {:>14.0} node-metrics/s",
             run.node_metrics_per_sec
         );
     }
@@ -217,10 +217,10 @@ fn main() {
          \"extract_rows_per_sec_per_core_materialized\": {:.0},\n  \
          \"extract_rows_per_sec_per_core_zero_copy\": {:.0},\n  \
          \"extract_zero_copy_speedup\": {:.2},\n  \
-         \"serve_node_metrics_per_sec_per_core_w1\": {:.0},\n  \
-         \"serve_node_metrics_per_sec_per_core_w2\": {:.0},\n  \
-         \"serve_node_metrics_per_sec_per_core_w4\": {:.0},\n  \
-         \"serve_node_metrics_per_sec_per_core_w8\": {:.0},\n  \
+         \"serve_node_metrics_per_sec_w1\": {:.0},\n  \
+         \"serve_node_metrics_per_sec_w2\": {:.0},\n  \
+         \"serve_node_metrics_per_sec_w4\": {:.0},\n  \
+         \"serve_node_metrics_per_sec_w8\": {:.0},\n  \
          \"merge_barrier_p50_ns\": {},\n  \
          \"merge_barrier_p99_ns\": {}\n}}\n",
         quick,

@@ -15,7 +15,6 @@ use alba_ml::{mean_and_ci95, Scores};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the robustness experiment.
@@ -101,29 +100,26 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessResult {
         .flat_map(|c| cfg.training_app_counts.iter().map(move |&k| (c, k)))
         .collect();
 
-    let measurements: Vec<(usize, Scores)> = jobs
-        .par_iter()
-        .map(|&(combo, k)| {
-            let combo_seed = cfg.scale.seed ^ 0xF17 ^ ((combo as u64) << 10);
-            let mut rng = StdRng::seed_from_u64(combo_seed);
-            let mut shuffled = apps.clone();
-            shuffled.shuffle(&mut rng);
-            let (train_apps, test_apps) = shuffled.split_at(shuffled.len() - cfg.n_test_apps);
-            let k = k.min(train_apps.len());
-            let train_apps = &train_apps[..k];
+    let measurements: Vec<(usize, Scores)> = alba_par::map(&jobs, |&(combo, k)| {
+        let combo_seed = cfg.scale.seed ^ 0xF17 ^ ((combo as u64) << 10);
+        let mut rng = StdRng::seed_from_u64(combo_seed);
+        let mut shuffled = apps.clone();
+        shuffled.shuffle(&mut rng);
+        let (train_apps, test_apps) = shuffled.split_at(shuffled.len() - cfg.n_test_apps);
+        let k = k.min(train_apps.len());
+        let train_apps = &train_apps[..k];
 
-            let train_idx = data.dataset.indices_where(|m, _| train_apps.contains(&m.app));
-            let test_idx = data.dataset.indices_where(|m, _| test_apps.contains(&m.app));
-            let train_raw = data.dataset.select(&train_idx);
-            let test_raw = data.dataset.select(&test_idx);
-            let prepared = prepare_pre_split(&train_raw, &test_raw, &cfg.scale.split);
+        let train_idx = data.dataset.indices_where(|m, _| train_apps.contains(&m.app));
+        let test_idx = data.dataset.indices_where(|m, _| test_apps.contains(&m.app));
+        let train_raw = data.dataset.select(&train_idx);
+        let test_raw = data.dataset.select(&test_idx);
+        let prepared = prepare_pre_split(&train_raw, &test_raw, &cfg.scale.split);
 
-            let mut model = spec.with_seed(combo_seed ^ 0x9).build();
-            model.fit(&prepared.train.x, &prepared.train.y, prepared.train.n_classes());
-            let pred = model.predict(&prepared.test.x);
-            (k, Scores::compute(&prepared.test.y, &pred, prepared.train.n_classes()))
-        })
-        .collect();
+        let mut model = spec.with_seed(combo_seed ^ 0x9).build();
+        model.fit(&prepared.train.x, &prepared.train.y, prepared.train.n_classes());
+        let pred = model.predict(&prepared.test.x);
+        (k, Scores::compute(&prepared.test.y, &pred, prepared.train.n_classes()))
+    });
 
     let points = cfg
         .training_app_counts
@@ -157,17 +153,13 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessResult {
 pub fn cv_all_apps_reference(data: &SystemData, scale: &RunScale) -> Scores {
     let splits = crate::experiments::curves::prepare_splits(data, scale);
     let spec = scale.model(true);
-    let all: Vec<Scores> = splits
-        .par_iter()
-        .enumerate()
-        .map(|(i, inst)| {
-            let train = &inst.split.train;
-            let mut model = spec.with_seed(scale.seed ^ (i as u64 + 31)).build();
-            model.fit(&train.x, &train.y, train.n_classes());
-            let pred = model.predict(&inst.split.test.x);
-            Scores::compute(&inst.split.test.y, &pred, train.n_classes())
-        })
-        .collect();
+    let all: Vec<Scores> = alba_par::map(splits.iter().enumerate(), |(i, inst)| {
+        let train = &inst.split.train;
+        let mut model = spec.with_seed(scale.seed ^ (i as u64 + 31)).build();
+        model.fit(&train.x, &train.y, train.n_classes());
+        let pred = model.predict(&inst.split.test.x);
+        Scores::compute(&inst.split.test.y, &pred, train.n_classes())
+    });
     let n = all.len() as f64;
     Scores {
         f1: all.iter().map(|s| s.f1).sum::<f64>() / n,

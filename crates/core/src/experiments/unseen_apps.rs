@@ -17,7 +17,6 @@ use alba_active::{run_session, MethodCurves, SessionConfig, SessionResult, Strat
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -109,32 +108,27 @@ pub fn run_unseen_apps(cfg: &UnseenAppsConfig) -> UnseenAppsResult {
                 test: alba_data::Dataset,
                 seed: u64,
             }
-            let combos: Vec<ComboInstance> = (0..cfg.n_combos)
-                .into_par_iter()
-                .map(|combo| {
-                    let combo_seed = cfg.scale.seed ^ ((k as u64) << 24) ^ ((combo as u64) << 8);
-                    let mut rng = StdRng::seed_from_u64(combo_seed);
-                    let mut shuffled = apps.clone();
-                    shuffled.shuffle(&mut rng);
-                    let training_apps: Vec<String> = shuffled[..k].to_vec();
+            let combos: Vec<ComboInstance> = alba_par::map(0..cfg.n_combos, |combo| {
+                let combo_seed = cfg.scale.seed ^ ((k as u64) << 24) ^ ((combo as u64) << 8);
+                let mut rng = StdRng::seed_from_u64(combo_seed);
+                let mut shuffled = apps.clone();
+                shuffled.shuffle(&mut rng);
+                let training_apps: Vec<String> = shuffled[..k].to_vec();
 
-                    let split = prepare_split(&data.dataset, &cfg.scale.split, combo_seed ^ 0x5);
-                    let seed_pool =
-                        seed_and_pool(&split.train, Some(&training_apps), combo_seed ^ 0x6);
-                    // Test: only previously unseen applications.
-                    let test_idx = split.test.indices_where(|m, _| !training_apps.contains(&m.app));
-                    let test = split.test.select(&test_idx);
-                    ComboInstance { seed_pool, test, seed: combo_seed }
-                })
-                .collect();
+                let split = prepare_split(&data.dataset, &cfg.scale.split, combo_seed ^ 0x5);
+                let seed_pool = seed_and_pool(&split.train, Some(&training_apps), combo_seed ^ 0x6);
+                // Test: only previously unseen applications.
+                let test_idx = split.test.indices_where(|m, _| !training_apps.contains(&m.app));
+                let test = split.test.select(&test_idx);
+                ComboInstance { seed_pool, test, seed: combo_seed }
+            });
 
             // Jobs: (combo, strategy).
             let jobs: Vec<(usize, Strategy)> = (0..cfg.n_combos)
                 .flat_map(|c| cfg.strategies.iter().map(move |&s| (c, s)))
                 .collect();
-            let sessions: Vec<(String, SessionResult)> = jobs
-                .par_iter()
-                .map(|&(combo, strategy)| {
+            let sessions: Vec<(String, SessionResult)> =
+                alba_par::map(&jobs, |&(combo, strategy)| {
                     let inst = &combos[combo];
                     let combo_seed = inst.seed;
                     let sp = &inst.seed_pool;
@@ -152,8 +146,7 @@ pub fn run_unseen_apps(cfg: &UnseenAppsConfig) -> UnseenAppsResult {
                         },
                     );
                     (strategy.name().to_string(), session)
-                })
-                .collect();
+                });
 
             let mut by_strategy: BTreeMap<String, Vec<SessionResult>> = BTreeMap::new();
             for (name, s) in sessions {

@@ -13,7 +13,6 @@ use crate::scale::RunScale;
 use crate::split::{prepare_split, seed_and_pool_filtered};
 use alba_active::{run_session, MethodCurves, SessionConfig, SessionResult, Strategy};
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -93,32 +92,28 @@ pub fn run_unseen_inputs(cfg: &UnseenInputsConfig) -> UnseenInputsResult {
         .flat_map(|&d| cfg.strategies.iter().map(move |&s| (d, s)))
         .collect();
 
-    let sessions: Vec<(String, SessionResult)> = jobs
-        .par_iter()
-        .map(|&(deck, strategy)| {
-            let deck_seed = cfg.scale.seed ^ 0xDEC ^ ((deck as u64) << 12);
-            let split = prepare_split(&data.dataset, &cfg.scale.split, deck_seed);
-            // Seed labels only from decks other than the held-out one.
-            let sp =
-                seed_and_pool_filtered(&split.train, |m| m.input_deck != deck, deck_seed ^ 0x2);
-            // Test: only the held-out deck.
-            let test_idx = split.test.indices_where(|m, _| m.input_deck == deck);
-            let test = split.test.select(&test_idx);
-            let session = run_session(
-                &spec,
-                &sp.seed_set,
-                &sp.pool,
-                &test,
-                &SessionConfig {
-                    strategy,
-                    budget: cfg.scale.budget,
-                    target_f1: None,
-                    seed: deck_seed ^ 0x3,
-                },
-            );
-            (strategy.name().to_string(), session)
-        })
-        .collect();
+    let sessions: Vec<(String, SessionResult)> = alba_par::map(&jobs, |&(deck, strategy)| {
+        let deck_seed = cfg.scale.seed ^ 0xDEC ^ ((deck as u64) << 12);
+        let split = prepare_split(&data.dataset, &cfg.scale.split, deck_seed);
+        // Seed labels only from decks other than the held-out one.
+        let sp = seed_and_pool_filtered(&split.train, |m| m.input_deck != deck, deck_seed ^ 0x2);
+        // Test: only the held-out deck.
+        let test_idx = split.test.indices_where(|m, _| m.input_deck == deck);
+        let test = split.test.select(&test_idx);
+        let session = run_session(
+            &spec,
+            &sp.seed_set,
+            &sp.pool,
+            &test,
+            &SessionConfig {
+                strategy,
+                budget: cfg.scale.budget,
+                target_f1: None,
+                seed: deck_seed ^ 0x3,
+            },
+        );
+        (strategy.name().to_string(), session)
+    });
 
     let mut by_strategy: BTreeMap<String, Vec<SessionResult>> = BTreeMap::new();
     for (name, s) in sessions {

@@ -35,10 +35,12 @@ use alba_trace::{Lane, Tracer};
 use albadross::experiments::CurvesResult;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How a grid run executes.
 pub struct RunOptions {
-    /// Worker threads (clamped to ≥ 1). Any value yields byte-identical
+    /// Worker lanes (clamped to ≥ 1); the lanes share at most one
+    /// alba-par thread per core. Any value yields byte-identical
     /// output; more workers only change wall time.
     pub workers: usize,
     /// Memo store; `None` disables memoisation and resume.
@@ -140,23 +142,11 @@ pub fn run_grid(spec: &GridSpec, opts: &RunOptions) -> Result<GridOutcome, GridE
         lanes[i % workers].push(cell);
     }
 
+    // Lanes run on alba-par; cells inside a lane fan out no further.
     let computed = misses.len();
-    let outputs: Vec<Result<Vec<(usize, CellResult)>, GridError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = lanes
-            .iter()
-            .enumerate()
-            .map(|(w, lane)| {
-                let store = opts.store.as_ref();
-                scope.spawn(move || worker_loop(w, lane, store, obs, tracer))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(GridError::Worker("worker thread panicked".to_string())),
-            })
-            .collect()
+    let outputs = alba_par::map(lanes.iter().enumerate(), |(w, lane)| {
+        catch_unwind(AssertUnwindSafe(|| worker_loop(w, lane, opts.store.as_ref(), obs, tracer)))
+            .unwrap_or_else(|_| Err(GridError::Worker("grid lane panicked".to_string())))
     });
     for out in outputs {
         for (idx, result) in out? {

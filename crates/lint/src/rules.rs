@@ -18,6 +18,7 @@
 //! | `no-unbounded-channel` | `VecDeque::new`/`LinkedList::new`/`mpsc::channel` queues on the network ingest path — every buffer a peer can fill must be born bounded |
 //! | `no-untraced-stage` | stage functions in serve's service.rs that open an obs span without touching the causal tracer — metrics and traces must cover the same stages |
 //! | `no-unordered-join` | `try_iter`/`try_recv`/iterating a receiver in the parallel runtime — results must be joined by a counted blocking barrier, in slot order, never in arrival order |
+//! | `no-ambient-thread` | `thread::spawn`/`thread::scope`/`thread::Builder` outside `crates/par/src` — alba-par is the one thread runtime |
 //!
 //! Three further rules — `reachable-panic`, `nondet-taint`,
 //! `lock-order-cycle` — are produced by the interprocedural engine in
@@ -83,6 +84,10 @@ pub const CATALOG: &[RuleInfo] = &[
     RuleInfo {
         name: "no-unordered-join",
         summary: "try_iter/try_recv/iterating a receiver forbidden in the parallel runtime; join worker results with a counted blocking recv and reorder by slot, never by arrival",
+    },
+    RuleInfo {
+        name: "no-ambient-thread",
+        summary: "thread::spawn/thread::scope/thread::Builder forbidden in non-test code outside crates/par/src; fan out through alba_par::map or an alba_par::Pool so there is one thread runtime and calls never nest",
     },
     RuleInfo {
         name: "reachable-panic",
@@ -277,6 +282,11 @@ fn in_join_scope(path: &str) -> bool {
     path.starts_with("crates/par/src/")
         || path == "crates/serve/src/service.rs"
         || path == "crates/grid/src/runner.rs"
+}
+
+/// The one crate allowed to create threads.
+fn in_thread_runtime(path: &str) -> bool {
+    path.starts_with("crates/par/src/")
 }
 
 // ---- the engine -----------------------------------------------------
@@ -615,6 +625,31 @@ pub fn check_file(ctx: &FileContext, lexed: &LexFile) -> Vec<RawFinding> {
         }
     }
 
+    // no-ambient-thread: thread creation outside the alba-par runtime.
+    // A second executor would nest threads inside pool jobs and split
+    // the host's cores between schedulers that cannot see each other.
+    if !in_thread_runtime(&ctx.path) {
+        for i in 0..toks.len() {
+            let line = toks[i].line;
+            if ctx.is_test_line(line) {
+                continue;
+            }
+            for what in ["spawn", "scope", "Builder"] {
+                if is_path_pair(toks, i, "thread", what) {
+                    out.push(RawFinding {
+                        rule: "no-ambient-thread",
+                        line,
+                        message: format!(
+                            "`thread::{what}` creates threads outside the alba-par runtime; fan \
+                             out with alba_par::map or an alba_par::Pool so work never runs on \
+                             a second executor or nests threads inside pool jobs"
+                        ),
+                    });
+                }
+            }
+        }
+    }
+
     out.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
     out
 }
@@ -868,6 +903,32 @@ mod tests {
         // `for<'a>` higher-ranked bounds are not loops.
         let hrtb = "fn f<F: for<'a> Fn(&'a u8)>(g: F) { g(&1); }";
         assert!(rules_fired("crates/par/src/lib.rs", hrtb).is_empty());
+    }
+
+    // ---- no-ambient-thread ------------------------------------------
+
+    #[test]
+    fn thread_creation_fires_outside_the_runtime_crate() {
+        let src = "fn f() { std::thread::spawn(|| {}); thread::scope(|s| {}); }";
+        assert_eq!(
+            rules_fired("crates/grid/src/runner.rs", src),
+            vec!["no-ambient-thread", "no-ambient-thread"]
+        );
+        let builder = "fn f() { let b = std::thread::Builder::new(); }";
+        assert_eq!(rules_fired("crates/ml/src/forest.rs", builder), vec!["no-ambient-thread"]);
+        assert!(rules_fired("crates/par/src/map.rs", src).is_empty(), "alba-par owns threads");
+    }
+
+    #[test]
+    fn thread_creation_in_tests_and_look_alikes_is_fine() {
+        let test_src =
+            "fn ok() {}\n#[cfg(test)]\nmod tests { fn t() { std::thread::spawn(|| {}); } }";
+        assert!(rules_fired("crates/chaos/src/failpoint.rs", test_src).is_empty());
+        assert!(rules_fired("tests/properties.rs", "fn t() { thread::spawn(|| {}); }").is_empty());
+        // A scope handle's `spawn` sits under an already-flagged `thread::scope`, and
+        // `thread::current` creates nothing.
+        let other = "fn f(s: &Scope) { s.spawn(|| {}); let id = thread::current().id(); }";
+        assert!(rules_fired("crates/grid/src/runner.rs", other).is_empty());
     }
 
     // ---- context classification -------------------------------------

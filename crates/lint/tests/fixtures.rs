@@ -4,8 +4,9 @@
 //! it mirror real crate paths, so the hot-path roots and output sinks
 //! resolve) holding one reachable panic behind a three-edge chain, a
 //! two-hop ambient-time taint, an AB/BA lock inversion, a suppressed
-//! and a stale-suppressed site, and two false-positive traps (dynamic
-//! dispatch, `#[cfg(test)]` code). The full report is compared against
+//! and a stale-suppressed site, a private executor outside the runtime
+//! crate (`no-ambient-thread`), and false-positive traps (dynamic
+//! dispatch, `#[cfg(test)]` code, thread creation inside `crates/par`). The full report is compared against
 //! `tests/fixtures/golden.json`; on drift the test prints the actual
 //! JSON so the golden can be reviewed and updated deliberately.
 
@@ -113,4 +114,17 @@ fn corpus_chains_and_cycles_have_the_advertised_shape() {
     assert!(report.suppressed >= 1, "the tail_lane allow must count as suppressed");
     assert_eq!(report.stale_suppressions.len(), 1, "{:?}", report.stale_suppressions);
     assert_eq!(report.stale_suppressions[0].rule, "stale-suppression");
+
+    // Thread creation fires once per site in the private executor, and
+    // never in its test module or in the runtime crate.
+    let threads: Vec<u32> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "no-ambient-thread")
+        .map(|f| {
+            assert!(f.path.ends_with("serve/src/offload.rs"), "{f:?}");
+            f.line
+        })
+        .collect();
+    assert_eq!(threads, vec![8, 15], "thread::scope and thread::Builder only");
 }

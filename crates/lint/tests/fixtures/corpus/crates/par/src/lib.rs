@@ -26,3 +26,9 @@ impl Pool {
         let _g = self.sched.lock();
     }
 }
+
+/// The runtime crate itself may create threads: `no-ambient-thread`
+/// stays silent here.
+pub fn start_worker() -> std::thread::JoinHandle<()> {
+    std::thread::spawn(|| {})
+}

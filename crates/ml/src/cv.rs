@@ -9,7 +9,6 @@ use crate::spec::ModelSpec;
 use alba_data::{stratified_k_fold, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Mean macro-F1 of a spec under stratified k-fold cross-validation.
@@ -26,20 +25,16 @@ pub fn cross_val_f1(
 ) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let folds = stratified_k_fold(y, k, &mut rng);
-    let scores: Vec<f64> = folds
-        .par_iter()
-        .enumerate()
-        .map(|(fi, (train, valid))| {
-            let xt = x.select_rows(train);
-            let yt: Vec<usize> = train.iter().map(|&i| y[i]).collect();
-            let xv = x.select_rows(valid);
-            let yv: Vec<usize> = valid.iter().map(|&i| y[i]).collect();
-            let mut model = spec.with_seed(seed ^ (fi as u64 + 1)).build();
-            model.fit(&xt, &yt, n_classes);
-            let pred = model.predict(&xv);
-            Scores::compute(&yv, &pred, n_classes).f1
-        })
-        .collect();
+    let scores: Vec<f64> = alba_par::map(folds.iter().enumerate(), |(fi, (train, valid))| {
+        let xt = x.select_rows(train);
+        let yt: Vec<usize> = train.iter().map(|&i| y[i]).collect();
+        let xv = x.select_rows(valid);
+        let yv: Vec<usize> = valid.iter().map(|&i| y[i]).collect();
+        let mut model = spec.with_seed(seed ^ (fi as u64 + 1)).build();
+        model.fit(&xt, &yt, n_classes);
+        let pred = model.predict(&xv);
+        Scores::compute(&yv, &pred, n_classes).f1
+    });
     scores.iter().sum::<f64>() / scores.len().max(1) as f64
 }
 
@@ -70,13 +65,10 @@ impl GridSearch {
         seed: u64,
     ) -> Self {
         assert!(!grid.is_empty(), "empty grid");
-        let mut results: Vec<GridResult> = grid
-            .par_iter()
-            .map(|spec| GridResult {
-                spec: spec.clone(),
-                cv_f1: cross_val_f1(spec, x, y, n_classes, k, seed),
-            })
-            .collect();
+        let mut results: Vec<GridResult> = alba_par::map(grid, |spec| GridResult {
+            spec: spec.clone(),
+            cv_f1: cross_val_f1(spec, x, y, n_classes, k, seed),
+        });
         results.sort_by(|a, b| b.cv_f1.total_cmp(&a.cv_f1));
         Self { results }
     }

@@ -1,15 +1,15 @@
 //! Bagged random forest (Table IV's `RF`, the paper's chosen model).
 //!
 //! Trees are fitted on bootstrap resamples with `sqrt`-feature subsetting
-//! and trained in parallel with rayon; `predict_proba` averages the leaf
-//! distributions of all trees (scikit-learn semantics).
+//! and trained in parallel on alba-par; `predict_proba` averages the leaf
+//! distributions of all trees (scikit-learn semantics), summed in tree
+//! order.
 
 use crate::model::Classifier;
 use crate::tree::{Criterion, DecisionTree, MaxFeatures, TreeParams};
 use alba_data::{bootstrap_indices, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Random-forest hyperparameters (Table IV search space).
@@ -70,40 +70,36 @@ impl Classifier for RandomForest {
         let mut seeder = StdRng::seed_from_u64(self.params.seed);
         let tree_seeds: Vec<u64> = (0..self.params.n_estimators).map(|_| seeder.gen()).collect();
 
-        self.trees = tree_seeds
-            .into_par_iter()
-            .map(|seed| {
-                let params = TreeParams {
-                    max_depth: self.params.max_depth,
-                    criterion: self.params.criterion,
-                    min_samples_split: 2,
-                    min_samples_leaf: 1,
-                    max_features: self.params.max_features,
-                    seed,
-                };
-                let mut tree = DecisionTree::new(params);
-                if self.params.bootstrap {
-                    let mut rng = StdRng::seed_from_u64(seed ^ 0xB007);
-                    let idx = bootstrap_indices(x.rows(), x.rows(), &mut rng);
-                    let xb = x.select_rows(&idx);
-                    let yb: Vec<usize> = idx.iter().map(|&i| y[i]).collect();
-                    tree.fit(&xb, &yb, n_classes);
-                } else {
-                    tree.fit(x, y, n_classes);
-                }
-                tree
-            })
-            .collect();
+        self.trees = alba_par::map(tree_seeds, |seed| {
+            let params = TreeParams {
+                max_depth: self.params.max_depth,
+                criterion: self.params.criterion,
+                min_samples_split: 2,
+                min_samples_leaf: 1,
+                max_features: self.params.max_features,
+                seed,
+            };
+            let mut tree = DecisionTree::new(params);
+            if self.params.bootstrap {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xB007);
+                let idx = bootstrap_indices(x.rows(), x.rows(), &mut rng);
+                let xb = x.select_rows(&idx);
+                let yb: Vec<usize> = idx.iter().map(|&i| y[i]).collect();
+                tree.fit(&xb, &yb, n_classes);
+            } else {
+                tree.fit(x, y, n_classes);
+            }
+            tree
+        });
     }
 
     fn predict_proba(&self, x: &Matrix) -> Matrix {
         assert!(!self.trees.is_empty(), "predict_proba called before fit");
-        // Sum tree probabilities in parallel, then average.
-        let mut acc = self
-            .trees
-            .par_iter()
-            .map(|t| t.predict_proba(x))
-            .reduce_with(|mut a, b| {
+        // Tree probabilities in parallel, summed in tree order (float
+        // addition is order-sensitive), then averaged.
+        let mut acc = alba_par::map(&self.trees, |t| t.predict_proba(x))
+            .into_iter()
+            .reduce(|mut a, b| {
                 for (va, vb) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
                     *va += vb;
                 }
@@ -170,6 +166,54 @@ mod tests {
             let s: f64 = p.row(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-9, "row {r} sums to {s}");
         }
+    }
+
+    /// Hand-written reference: leaf distributions summed in tree order,
+    /// then divided by the tree count.
+    fn tree_order_mean(f: &RandomForest, x: &Matrix) -> Vec<u64> {
+        let mut acc = f.trees[0].predict_proba(x).as_slice().to_vec();
+        for t in &f.trees[1..] {
+            for (a, b) in acc.iter_mut().zip(t.predict_proba(x).as_slice()) {
+                *a += b;
+            }
+        }
+        let n = f.trees.len() as f64;
+        acc.iter().map(|v| (v / n).to_bits()).collect()
+    }
+
+    /// Fits a shallow forest on label-noisy data (impure leaves, so the
+    /// float sum is order-sensitive); returns the serialised model, its
+    /// probabilities and the tree-order reference, all as bits.
+    fn fit_and_query() -> (String, Vec<u64>, Vec<u64>) {
+        let rows: Vec<Vec<f64>> =
+            (0..90).map(|i| vec![i as f64 / 90.0, ((i * 37 % 11) as f64) * 0.03]).collect();
+        let y: Vec<usize> = (0..90).map(|i| (i * 3 / 90 + usize::from(i % 7 == 0)) % 3).collect();
+        let x = Matrix::from_rows(&rows);
+        let mut f = RandomForest::new(ForestParams {
+            n_estimators: 25,
+            max_depth: Some(3),
+            seed: 11,
+            ..ForestParams::default()
+        });
+        f.fit(&x, &y, 3);
+        let got = f.predict_proba(&x).as_slice().iter().map(|v| v.to_bits()).collect();
+        (serde_json::to_string(&f).expect("serialise"), got, tree_order_mean(&f, &x))
+    }
+
+    /// `predict_proba` is the tree-order sum bit for bit, and `fit`
+    /// serialises identically, on the main thread and inside a pool job
+    /// (where alba-par runs the tree loops inline).
+    #[test]
+    fn reduction_order_is_pinned_on_and_off_the_pool() {
+        let (main_json, main_p, main_ref) = fit_and_query();
+        assert_eq!(main_p, main_ref, "main thread: not the tree-order sum");
+        let mut pool: alba_par::Pool<(), (String, Vec<u64>, Vec<u64>)> =
+            alba_par::Pool::new(1, alba_obs::Obs::disabled(), |_w, ()| fit_and_query());
+        let (pool_json, pool_p, pool_ref) =
+            pool.run_epoch(vec![()]).pop().expect("one slot").expect("job ran");
+        assert_eq!(pool_p, pool_ref, "pool job: not the tree-order sum");
+        assert_eq!(pool_p, main_p, "probabilities depend on the calling thread");
+        assert_eq!(pool_json, main_json, "fitted model depends on the calling thread");
     }
 
     #[test]

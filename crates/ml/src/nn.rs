@@ -7,7 +7,6 @@
 use alba_data::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Per-layer activation function.
@@ -64,12 +63,12 @@ impl Activation {
     }
 }
 
-/// Parallel (rayon) dense matmul: `a (n x k) * b (k x m)`.
+/// Parallel (row-wise, alba-par) dense matmul: `a (n x k) * b (k x m)`.
 pub fn par_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "matmul dimension mismatch");
     let (n, m) = (a.rows(), b.cols());
     let mut out = Matrix::zeros(n, m);
-    out.as_mut_slice().par_chunks_mut(m).enumerate().for_each(|(i, o_row)| {
+    alba_par::map(out.as_mut_slice().chunks_mut(m).enumerate(), |(i, o_row)| {
         let a_row = a.row(i);
         for (k, &a_ik) in a_row.iter().enumerate() {
             if a_ik == 0.0 {

@@ -1,7 +1,10 @@
 //! # alba-par
 //!
-//! A deterministic, fixed-size worker pool built for the serve
-//! pipeline's parallel shard runtime.
+//! The workspace's one thread runtime: a deterministic, fixed-size
+//! worker pool built for the serve pipeline's parallel shard runtime,
+//! plus [`map`], a scoped order-preserving fan-out for data-parallel
+//! loops. Neither nests: `map` called from a pool worker or from inside
+//! another `map` runs inline on the calling thread.
 //!
 //! The design goal is *byte-identical replay under real threads*: the
 //! pool may change wall-clock timing, but it must never be able to
@@ -43,6 +46,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use alba_obs::Obs;
+
+mod map;
+pub use map::map;
 
 /// What a worker receives on its private job queue.
 enum Msg<J> {
@@ -221,6 +227,7 @@ fn worker_loop<J, R>(
     job_fn: Arc<JobFn<J, R>>,
     obs: Obs,
 ) {
+    map::mark_worker();
     let label = w.to_string();
     let jobs_c = obs.counter("par_worker_jobs_total", &[("worker", &label)]);
     let busy_c = obs.counter("par_worker_busy_ns_total", &[("worker", &label)]);

@@ -12,7 +12,6 @@
 use alba_data::MetricDef;
 use alba_telemetry::{generate_run, NodeTelemetry, Scale};
 use albadross::System;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Fleet simulation shape: which system, how many nodes, which seed.
@@ -102,15 +101,16 @@ impl ReplaySource {
             round += 1;
         }
 
-        let mut streams: Vec<NodeStream> = picked
-            .par_iter()
-            .flat_map_iter(|rc| {
-                let app = rc.app.name.clone();
-                generate_run(rc, &catalog, &campaign.signature, &campaign.noise)
-                    .into_iter()
-                    .map(move |telemetry| NodeStream { telemetry, app: app.clone() })
-            })
-            .collect();
+        let mut streams: Vec<NodeStream> = alba_par::map(&picked, |rc| {
+            let app = &rc.app.name;
+            generate_run(rc, &catalog, &campaign.signature, &campaign.noise)
+                .into_iter()
+                .map(|telemetry| NodeStream { telemetry, app: app.clone() })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         streams.truncate(cfg.n_nodes);
         let metrics = streams[0].telemetry.series.metrics.clone();
         Self { streams, metrics, cursor: 0 }

@@ -10,7 +10,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::anomaly::{eclipse_intensities, AnomalyKind, Injection, VOLTA_INTENSITIES};
@@ -204,10 +203,12 @@ impl CampaignConfig {
     pub fn generate(&self) -> Vec<NodeTelemetry> {
         let catalog = self.catalog();
         let configs = self.run_configs();
-        let mut samples: Vec<NodeTelemetry> = configs
-            .par_iter()
-            .flat_map_iter(|cfg| generate_run(cfg, &catalog, &self.signature, &self.noise))
-            .collect();
+        let mut samples: Vec<NodeTelemetry> = alba_par::map(&configs, |cfg| {
+            generate_run(cfg, &catalog, &self.signature, &self.noise)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         if let Some(ratio) = self.target_anomaly_ratio {
             samples = enforce_anomaly_ratio(samples, ratio, self.seed ^ 0xA5A5);
         }

@@ -428,8 +428,8 @@ assert bench["bench"] == "parallel_throughput"
 for key in (
     "extract_rows_per_sec_per_core_materialized",
     "extract_rows_per_sec_per_core_zero_copy",
-    "serve_node_metrics_per_sec_per_core_w1",
-    "serve_node_metrics_per_sec_per_core_w4",
+    "serve_node_metrics_per_sec_w1",
+    "serve_node_metrics_per_sec_w4",
     "merge_barrier_p99_ns",
 ):
     assert isinstance(bench[key], (int, float)) and bench[key] > 0, key
@@ -439,7 +439,7 @@ assert speedup >= 2.0, (
 )
 print(f"  extract {bench['extract_rows_per_sec_per_core_zero_copy']:.0f} rows/s/core "
       f"({speedup:.2f}x materialized), "
-      f"serve {bench['serve_node_metrics_per_sec_per_core_w4']:.0f} node-metrics/s/core @4w, "
+      f"serve {bench['serve_node_metrics_per_sec_w4']:.0f} node-metrics/s @4w, "
       f"barrier p99 {bench['merge_barrier_p99_ns']:.0f} ns: OK")
 EOF
 
