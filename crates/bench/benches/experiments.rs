@@ -1,18 +1,18 @@
 //! One Criterion benchmark per paper table/figure.
 //!
-//! Each benchmark runs the corresponding experiment driver at smoke scale
-//! (the drivers themselves are scale-parameterised; `repro --scale
-//! default|full` regenerates the actual results). Benchmarking the drivers
-//! end-to-end keeps the regeneration path exercised and tracks its cost.
+//! Each benchmark runs the corresponding experiment driver — or, for
+//! Figs. 6–8, the committed grid spec — at smoke scale (both are
+//! scale-parameterised; `repro --scale default|full` regenerates the
+//! actual results). Benchmarking them end-to-end keeps the regeneration
+//! path exercised and tracks its cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use alba_grid::{run_grid, GridSpec, RunOptions};
 use alba_ml::ModelFamily;
 use albadross::experiments::{
-    render_setup_tables, run_curves, run_robustness, run_table4, run_unseen_apps,
-    run_unseen_inputs, CurvesConfig, DrilldownResult, RobustnessConfig, Table4Config,
-    UnseenAppsConfig, UnseenInputsConfig,
+    render_setup_tables, run_curves, run_table4, CurvesConfig, DrilldownResult, Table4Config,
 };
 use albadross::prelude::*;
 
@@ -62,42 +62,27 @@ fn bench_fig5(c: &mut Criterion) {
     });
 }
 
-fn bench_fig6(c: &mut Criterion) {
-    c.bench_function("paper/fig6_unseen_apps", |b| {
-        b.iter(|| {
-            black_box(run_unseen_apps(&UnseenAppsConfig {
-                training_app_counts: vec![2],
-                n_combos: 1,
-                strategies: vec![Strategy::Uncertainty, Strategy::Random],
-                scale: scale(),
-            }))
-        })
+/// Benchmarks one committed figure spec (`specs/<id>.json`) through the
+/// grid runner, storeless, at smoke scale.
+fn bench_figure_spec(c: &mut Criterion, name: &str, id: &str) {
+    let path = format!("{}/../../specs/{id}.json", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).expect("read committed figure spec");
+    let spec = GridSpec::parse(&src, Some(&scale())).expect("parse figure spec");
+    c.bench_function(name, |b| {
+        b.iter(|| black_box(run_grid(&spec, &RunOptions::default()).expect("figure grid")))
     });
+}
+
+fn bench_fig6(c: &mut Criterion) {
+    bench_figure_spec(c, "paper/fig6_unseen_apps", "fig6");
 }
 
 fn bench_fig7(c: &mut Criterion) {
-    c.bench_function("paper/fig7_robustness", |b| {
-        b.iter(|| {
-            black_box(run_robustness(&RobustnessConfig {
-                training_app_counts: vec![2, 6],
-                n_test_apps: 3,
-                n_combos: 2,
-                scale: scale(),
-            }))
-        })
-    });
+    bench_figure_spec(c, "paper/fig7_robustness", "fig7");
 }
 
 fn bench_fig8(c: &mut Criterion) {
-    c.bench_function("paper/fig8_unseen_inputs", |b| {
-        b.iter(|| {
-            black_box(run_unseen_inputs(&UnseenInputsConfig {
-                held_out_decks: vec![0],
-                strategies: vec![Strategy::Uncertainty, Strategy::Random],
-                scale: scale(),
-            }))
-        })
-    });
+    bench_figure_spec(c, "paper/fig8_unseen_inputs", "fig8");
 }
 
 fn bench_table4(c: &mut Criterion) {

@@ -33,9 +33,9 @@
 //! byte-identical output), memoises completed cells in the `--store`
 //! (so a killed sweep resumes without recomputation), and writes
 //! `grid_<name>.json` plus a markdown leaderboard and a causal trace
-//! log to `--out`. The fig3/fig5 experiment ids themselves run through
-//! this grid runner (from `specs/fig3.json` / `specs/fig5.json`), so
-//! figure replays share the memo store and its resume semantics.
+//! log to `--out`. The fig3, fig5, fig6, fig7 and fig8 experiment ids
+//! themselves run through this grid runner (from `specs/fig<N>.json`),
+//! so figure replays share the memo store and its resume semantics.
 //!
 //! The whole run is observed through [`alba_obs`]: a wall-clock registry
 //! is installed globally, each experiment runs under an
@@ -43,10 +43,8 @@
 //! histograms (`exp_stage_ns`, `al_*_ns`, `model_*_ns`), and the
 //! collected timings are written to `stage_timings_<scale>.json`.
 
-use albadross::experiments::{
-    self, run_robustness, run_table4, run_unseen_apps, run_unseen_inputs, DrilldownResult,
-    RobustnessConfig, Table4Config, UnseenAppsConfig, UnseenInputsConfig,
-};
+use alba_grid::FigureResult;
+use albadross::experiments::{self, run_table4, DrilldownResult, Table4Config};
 use albadross::prelude::*;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -275,7 +273,7 @@ fn save_text(dir: &Path, file: &str, text: &str) {
 }
 
 /// Runs one grid spec through [`alba_grid::run_grid`] and writes its
-/// artifacts. Shared by `--grid FILE` mode and the fig3/fig5 drivers.
+/// artifacts. Shared by `--grid FILE` mode and the figure experiments.
 fn run_grid_spec(
     spec: &alba_grid::GridSpec,
     args: &Args,
@@ -477,57 +475,55 @@ fn main() {
         println!("{}", experiments::render_setup_tables());
     }
 
-    // Fig. 3 / Fig. 5 replay through the grid runner: the committed
-    // specs expand to exactly the jobs `run_curves` would run (same
-    // order, same seeds), so the reconstructed curves are byte-identical
-    // to the monolithic driver's — with memoisation and resume for free.
-    let run_figure = |spec_file: &str| {
-        let path = spec_path(spec_file);
+    // The figures replay through the grid runner: the committed specs
+    // expand to exactly the jobs the monolithic drivers ran (same order,
+    // same seeds), so the assembled figures are byte-identical to theirs
+    // — with memoisation and resume for free. Fig. 4 and Table V reuse
+    // the Fig. 3 / Fig. 5 curves.
+    let mut curves = std::collections::BTreeMap::new();
+    for id in ["fig3", "fig5", "fig6", "fig7", "fig8"] {
+        let reused =
+            (id == "fig3" && wants("fig4")) || (matches!(id, "fig3" | "fig5") && wants("table5"));
+        if !wants(id) && !reused {
+            continue;
+        }
+        let _span = experiment(id);
+        let t = Instant::now();
+        let path = spec_path(&format!("{id}.json"));
         let src = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read grid spec {}: {e}", path.display()));
         let spec = alba_grid::GridSpec::parse(&src, Some(&scale))
             .unwrap_or_else(|e| panic!("grid spec {}: {e}", path.display()));
         let outcome = run_grid_spec(&spec, &args, &obs, alba_trace::Tracer::disabled());
-        outcome.curves.unwrap_or_else(|| panic!("figure spec {spec_file} yields curves"))
-    };
-
-    // Keep the Fig.3 curves around: Fig. 4 and Table V reuse them.
-    let mut fig3_curves = None;
-    if wants("fig3") || wants("fig4") || wants("table5") {
-        let _span = experiment("fig3");
-        let t = Instant::now();
-        let res = run_figure("fig3.json");
-        println!("{}\n[fig3 in {:?}]\n", res.render(), t.elapsed());
-        save_json(&args.out, &format!("fig3_{}", args.scale_name), &res.curves);
-        save_svgs(&args.out, &format!("fig3_{}", args.scale_name), &res.curves);
-        fig3_curves = Some(res);
+        let res =
+            outcome.figure.unwrap_or_else(|| panic!("spec {} is not a figure", path.display()));
+        println!("{}\n[{id} in {:?}]\n", res.render(), t.elapsed());
+        let name = format!("{id}_{}", args.scale_name);
+        match res {
+            FigureResult::Curves(r) => {
+                save_json(&args.out, &name, &r.curves);
+                save_svgs(&args.out, &name, &r.curves);
+                curves.insert(id, r);
+            }
+            FigureResult::UnseenApps(r) => save_json(&args.out, &name, &r),
+            FigureResult::Robustness(r) => save_json(&args.out, &name, &r),
+            FigureResult::UnseenInputs(r) => save_json(&args.out, &name, &r),
+        }
     }
 
     if wants("fig4") {
-        let res = fig3_curves.as_ref().expect("fig3 ran above");
         let first_n = 50.min(scale.budget);
-        let d = DrilldownResult::from_curves(res, "uncertainty", first_n);
+        let d = DrilldownResult::from_curves(&curves["fig3"], "uncertainty", first_n);
         println!("{}", d.render());
         save_json(&args.out, &format!("fig4_{}", args.scale_name), &d);
-    }
-
-    let mut fig5_curves = None;
-    if wants("fig5") || wants("table5") {
-        let _span = experiment("fig5");
-        let t = Instant::now();
-        let res = run_figure("fig5.json");
-        println!("{}\n[fig5 in {:?}]\n", res.render(), t.elapsed());
-        save_json(&args.out, &format!("fig5_{}", args.scale_name), &res.curves);
-        save_svgs(&args.out, &format!("fig5_{}", args.scale_name), &res.curves);
-        fig5_curves = Some(res);
     }
 
     if wants("table5") {
         let _span = experiment("table5");
         let t = Instant::now();
         let rows = vec![
-            experiments::table5_row(fig3_curves.as_ref().expect("fig3 ran"), &scale),
-            experiments::table5_row(fig5_curves.as_ref().expect("fig5 ran"), &scale),
+            experiments::table5_row(&curves["fig3"], &scale),
+            experiments::table5_row(&curves["fig5"], &scale),
         ];
         let table = experiments::Table5 { rows };
         println!(
@@ -536,30 +532,6 @@ fn main() {
             t.elapsed()
         );
         save_json(&args.out, &format!("table5_{}", args.scale_name), &table);
-    }
-
-    if wants("fig6") {
-        let _span = experiment("fig6");
-        let t = Instant::now();
-        let res = run_unseen_apps(&UnseenAppsConfig::paper(scale.clone()));
-        println!("{}\n[fig6 in {:?}]\n", res.render(), t.elapsed());
-        save_json(&args.out, &format!("fig6_{}", args.scale_name), &res);
-    }
-
-    if wants("fig7") {
-        let _span = experiment("fig7");
-        let t = Instant::now();
-        let res = run_robustness(&RobustnessConfig::paper(scale.clone()));
-        println!("{}\n[fig7 in {:?}]\n", res.render(), t.elapsed());
-        save_json(&args.out, &format!("fig7_{}", args.scale_name), &res);
-    }
-
-    if wants("fig8") {
-        let _span = experiment("fig8");
-        let t = Instant::now();
-        let res = run_unseen_inputs(&UnseenInputsConfig::paper(scale.clone()));
-        println!("{}\n[fig8 in {:?}]\n", res.render(), t.elapsed());
-        save_json(&args.out, &format!("fig8_{}", args.scale_name), &res);
     }
 
     if wants("ablations") {

@@ -94,27 +94,39 @@ impl SystemData {
     /// `(system, method, scale, seed)` so that the eight experiment drivers
     /// sharing a dataset pay for generation once per process.
     pub fn generate(system: System, method: FeatureMethod, scale: Scale, seed: u64) -> Self {
+        (*Self::shared(system, method, scale, seed)).clone()
+    }
+
+    /// [`Self::generate`] without the copy: the memoised dataset itself.
+    pub fn shared(
+        system: System,
+        method: FeatureMethod,
+        scale: Scale,
+        seed: u64,
+    ) -> std::sync::Arc<Self> {
         use parking_lot::Mutex;
         use std::collections::HashMap;
-        use std::sync::Arc;
+        use std::sync::{Arc, OnceLock};
         type Key = (System, FeatureMethod, Scale, u64);
+        type Slot = Arc<OnceLock<Arc<SystemData>>>;
         // alba-lint: allow(nondet-taint) reason="keyed memo cache; lookups only, never iterated"
-        static CACHE: Mutex<Option<HashMap<Key, Arc<SystemData>>>> = Mutex::new(None);
+        static CACHE: Mutex<Option<HashMap<Key, Slot>>> = Mutex::new(None);
 
         let key = (system, method, scale, seed);
-        if let Some(hit) = CACHE.lock().as_ref().and_then(|m| m.get(&key).cloned()) {
-            return (*hit).clone();
-        }
-        let data = Self::generate_via_env_store(system, method, scale, seed);
-        let mut guard = CACHE.lock();
-        // alba-lint: allow(nondet-taint) reason="keyed memo cache; lookups only, never iterated"
-        let map = guard.get_or_insert_with(HashMap::new);
-        // Datasets are large; keep only a handful of distinct configurations.
-        if map.len() >= 6 {
-            map.clear();
-        }
-        map.insert(key, Arc::new(data.clone()));
-        data
+        // Concurrent callers asking for one key share its slot: the first
+        // generates, the others wait instead of generating it again.
+        let slot = {
+            let mut guard = CACHE.lock();
+            // alba-lint: allow(nondet-taint) reason="keyed memo cache; lookups only, never iterated"
+            let map = guard.get_or_insert_with(HashMap::new);
+            // Datasets are large; keep only a handful of distinct configurations.
+            if map.len() >= 6 && !map.contains_key(&key) {
+                map.clear();
+            }
+            map.entry(key).or_default().clone()
+        };
+        slot.get_or_init(|| Arc::new(Self::generate_via_env_store(system, method, scale, seed)))
+            .clone()
     }
 
     /// Generates through the on-disk store named by [`STORE_DIR_ENV`]

@@ -1,5 +1,6 @@
-//! Experiment drivers regenerating every table and figure of the paper's
-//! evaluation (see DESIGN.md's per-experiment index).
+//! Experiment drivers and result types for every table and figure of the
+//! paper's evaluation (see DESIGN.md's per-experiment index). Figs. 3 and
+//! 5–8 run as `alba-grid` specs (`specs/fig<N>.json`).
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -26,9 +27,9 @@ pub mod unseen_inputs;
 pub use ablations::{run_ablations, AblationSuite};
 pub use curves::{run_curves, CurvesConfig, CurvesResult};
 pub use drilldown::DrilldownResult;
-pub use robustness::{run_robustness, RobustnessConfig, RobustnessResult};
+pub use robustness::{RobustnessPoint, RobustnessResult};
 pub use setup_tables::{render_setup_tables, render_table1, render_table2, render_table3};
 pub use table4::{run_table4, Table4Config, Table4Result};
-pub use table5::{run_table5, table5_row, Table5, Table5Row};
-pub use unseen_apps::{run_unseen_apps, UnseenAppsConfig, UnseenAppsResult};
-pub use unseen_inputs::{run_unseen_inputs, UnseenInputsConfig, UnseenInputsResult};
+pub use table5::{table5_row, Table5, Table5Row};
+pub use unseen_apps::{UnseenAppsResult, UnseenAppsScenario};
+pub use unseen_inputs::UnseenInputsResult;

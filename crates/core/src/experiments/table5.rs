@@ -8,7 +8,7 @@
 
 use crate::data::System;
 use crate::data::SystemData;
-use crate::experiments::curves::{prepare_splits, run_curves, CurvesConfig, CurvesResult};
+use crate::experiments::curves::{prepare_splits, CurvesResult};
 use crate::report::{fmt_opt, fmt_score, render_table};
 use crate::scale::RunScale;
 use alba_active::MethodCurves;
@@ -150,23 +150,6 @@ pub fn table5_row(curves: &CurvesResult, scale: &RunScale) -> Table5Row {
         cv_f1,
         full_size,
     }
-}
-
-/// Runs the full Table V (both systems, paper-best feature methods).
-pub fn run_table5(scale: &RunScale, include_proctor: bool) -> Table5 {
-    let rows = [System::Volta, System::Eclipse]
-        .iter()
-        .map(|&system| {
-            let curves = run_curves(&CurvesConfig {
-                system,
-                method: None,
-                scale: scale.clone(),
-                include_proctor,
-            });
-            table5_row(&curves, scale)
-        })
-        .collect();
-    Table5 { rows }
 }
 
 #[cfg(test)]

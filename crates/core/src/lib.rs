@@ -41,17 +41,15 @@ pub use plot::{figure_panels, render_curves_svg};
 pub use proctor::{run_proctor_session, Proctor, ProctorConfig};
 pub use scale::RunScale;
 pub use split::{
-    prepare_pre_split, prepare_split, seed_and_pool, seed_and_pool_filtered, PreparedSplit,
-    SeedPool, SplitConfig,
+    prepare_pre_split, prepare_split, seed_and_pool, seed_and_pool_filtered, shuffled_applications,
+    PreparedSplit, SeedPool, SplitConfig,
 };
 
 /// Convenience re-exports for examples and downstream users.
 pub mod prelude {
     pub use crate::data::{FeatureMethod, System, SystemData};
     pub use crate::experiments::{
-        run_curves, run_robustness, run_table4, run_table5, run_unseen_apps, run_unseen_inputs,
-        CurvesConfig, DrilldownResult, RobustnessConfig, Table4Config, UnseenAppsConfig,
-        UnseenInputsConfig,
+        run_curves, run_table4, CurvesConfig, DrilldownResult, Table4Config,
     };
     pub use crate::proctor::{run_proctor_session, ProctorConfig};
     pub use crate::scale::RunScale;

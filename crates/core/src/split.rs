@@ -12,6 +12,7 @@
 use alba_data::{one_per_app_class_pair, stratified_split, Dataset};
 use alba_features::{select_top_k, MinMaxScaler};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
@@ -98,6 +99,15 @@ pub fn prepare_pre_split(
     scaler.transform_inplace(&mut test_sel.x);
 
     PreparedSplit { train: train_sel, test: test_sel, selected_features: selected, scaler }
+}
+
+/// The dataset's applications in a `seed`-shuffled order. The
+/// held-out-application splits (Figs. 6 and 7) take its prefixes and
+/// suffixes.
+pub fn shuffled_applications(ds: &Dataset, seed: u64) -> Vec<String> {
+    let mut apps = ds.applications();
+    apps.shuffle(&mut StdRng::seed_from_u64(seed));
+    apps
 }
 
 /// The seed/pool decomposition (Fig. 2): one labeled sample per

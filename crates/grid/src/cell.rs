@@ -14,11 +14,12 @@
 //! store entries then miss instead of silently serving stale results.
 
 use alba_active::{flip_labels, run_batched_session, SessionConfig, SessionResult, Strategy};
-use alba_ml::ModelSpec;
+use alba_data::{Dataset, SampleMeta};
+use alba_ml::{ModelSpec, Scores};
 use alba_telemetry::Scale;
 use albadross::{
-    prepare_split, run_proctor_session, seed_and_pool, FeatureMethod, ProctorConfig, SeedPool,
-    SplitConfig, System, SystemData,
+    prepare_pre_split, prepare_split, run_proctor_session, seed_and_pool_filtered,
+    shuffled_applications, FeatureMethod, ProctorConfig, SplitConfig, System, SystemData,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -29,8 +30,39 @@ use std::sync::Arc;
 /// evaluation semantics of [`run_cell`].
 pub const CELL_REV: u32 = 1;
 
-/// What one cell evaluates: an active-learning session or a Proctor
-/// baseline session.
+/// How a held-out cell divides the dataset (paper Sec. V-B). The
+/// applications are derived from the dataset inside the cell, so specs
+/// expand without touching data.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub enum Holdout {
+    /// Stratified split; the seed set comes only from the first `k`
+    /// applications of a `shuffle_seed` shuffle, and the test side keeps
+    /// only the other applications (Fig. 6).
+    UnseenApps {
+        /// Applications the seed set may come from.
+        k: usize,
+        /// Application-shuffle seed.
+        shuffle_seed: u64,
+    },
+    /// Stratified split; the seed set comes only from input decks other
+    /// than `deck`, and the test side keeps only `deck` (Fig. 8).
+    UnseenDeck {
+        /// The held-out input deck.
+        deck: usize,
+    },
+    /// No stratified split: the applications are shuffled with the
+    /// cell's `split_seed`, the last `n_test` form the test side and the
+    /// first `k` the train side (Fig. 7).
+    TrainApps {
+        /// Training applications.
+        k: usize,
+        /// Held-out test applications.
+        n_test: usize,
+    },
+}
+
+/// What one cell evaluates: an active-learning session, a Proctor
+/// baseline session, or a plain supervised fit.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum CellTask {
     /// One pool-based AL session.
@@ -48,6 +80,29 @@ pub enum CellTask {
     Proctor {
         /// Full Proctor configuration (autoencoder, head, budget, seed).
         config: ProctorConfig,
+    },
+    /// One AL session, as [`CellTask::Al`], on a held-out split.
+    HeldOutAl {
+        /// How the dataset is divided.
+        holdout: Holdout,
+        /// Query strategy.
+        strategy: Strategy,
+        /// Fully resolved supervised model.
+        model: ModelSpec,
+        /// Label budget.
+        budget: usize,
+        /// Labels per re-train.
+        batch: usize,
+    },
+    /// One supervised fit on the whole prepared train side, in its
+    /// original row order, scored on the test side: a session without
+    /// queries. `session_seed` seeds the model; the pool seed and the
+    /// contamination fields are unused.
+    Fit {
+        /// Fully resolved supervised model.
+        model: ModelSpec,
+        /// Held-out split, or `None` for the stratified one.
+        holdout: Option<Holdout>,
     },
 }
 
@@ -132,8 +187,8 @@ impl CellResult {
 }
 
 /// The split-level slice of a cell spec: everything that determines the
-/// prepared split + seed/pool (+ contamination), and nothing session
-/// specific — cells sharing these fields share one cached split.
+/// prepared train and test sides, and nothing session specific — cells
+/// sharing these fields share one cached split.
 #[derive(Serialize)]
 struct SplitIdentity {
     system: System,
@@ -142,16 +197,16 @@ struct SplitIdentity {
     data_seed: u64,
     split: SplitConfig,
     split_seed: u64,
-    pool_seed: u64,
-    contamination_pct: f64,
-    noise_seed: u64,
+    holdout: Option<Holdout>,
 }
 
-/// One prepared split with its (possibly contaminated) decomposition.
+/// One prepared split.
 struct SplitInstance {
-    test: alba_data::Dataset,
-    seed_pool: SeedPool,
-    labels_flipped: usize,
+    /// Prepared train side, in its original row order.
+    train: Dataset,
+    test: Dataset,
+    /// Which train-side samples may enter the seed set.
+    seedable: Box<dyn Fn(&SampleMeta) -> bool + Send + Sync>,
 }
 
 /// Process-level split cache: figure grids re-use one split across the
@@ -163,7 +218,12 @@ static SPLIT_CACHE: Mutex<Option<BTreeMap<String, Arc<SplitInstance>>>> = Mutex:
 /// Distinct splits kept in memory; a sweep touching more recycles.
 const SPLIT_CACHE_CAP: usize = 8;
 
-fn cached_split(spec: &CellSpec, data: &SystemData) -> Arc<SplitInstance> {
+fn cached_split(spec: &CellSpec, full: &Dataset) -> Arc<SplitInstance> {
+    let holdout = match &spec.task {
+        CellTask::HeldOutAl { holdout, .. } => Some(holdout),
+        CellTask::Fit { holdout, .. } => holdout.as_ref(),
+        CellTask::Al { .. } | CellTask::Proctor { .. } => None,
+    };
     let ident = SplitIdentity {
         system: spec.system,
         method: spec.method,
@@ -171,20 +231,13 @@ fn cached_split(spec: &CellSpec, data: &SystemData) -> Arc<SplitInstance> {
         data_seed: spec.data_seed,
         split: spec.split,
         split_seed: spec.split_seed,
-        pool_seed: spec.pool_seed,
-        contamination_pct: spec.contamination_pct,
-        noise_seed: spec.noise_seed,
+        holdout: holdout.cloned(),
     };
     let key = alba_store::key_of("grid-split", &ident);
     if let Some(hit) = SPLIT_CACHE.lock().as_ref().and_then(|m| m.get(&key).cloned()) {
         return hit;
     }
-    let split = prepare_split(&data.dataset, &spec.split, spec.split_seed);
-    let mut seed_pool = seed_and_pool(&split.train, None, spec.pool_seed);
-    let n_classes = seed_pool.pool.n_classes();
-    let labels_flipped =
-        flip_labels(&mut seed_pool.pool.y, n_classes, spec.contamination_pct, spec.noise_seed);
-    let inst = Arc::new(SplitInstance { test: split.test, seed_pool, labels_flipped });
+    let inst = Arc::new(prepare_sides(full, spec, holdout));
     let mut guard = SPLIT_CACHE.lock();
     let map = guard.get_or_insert_with(BTreeMap::new);
     if map.len() >= SPLIT_CACHE_CAP {
@@ -194,36 +247,98 @@ fn cached_split(spec: &CellSpec, data: &SystemData) -> Arc<SplitInstance> {
     inst
 }
 
+fn keep(ds: &Dataset, pred: impl Fn(&SampleMeta) -> bool) -> Dataset {
+    ds.select(&ds.indices_where(|m, _| pred(m)))
+}
+
+fn prepare_sides(full: &Dataset, spec: &CellSpec, holdout: Option<&Holdout>) -> SplitInstance {
+    if let Some(&Holdout::TrainApps { k, n_test }) = holdout {
+        let mut train_apps = shuffled_applications(full, spec.split_seed);
+        let test_apps = train_apps.split_off(train_apps.len().saturating_sub(n_test));
+        train_apps.truncate(k);
+        let train = keep(full, |m| train_apps.contains(&m.app));
+        let test = keep(full, |m| test_apps.contains(&m.app));
+        let p = prepare_pre_split(&train, &test, &spec.split);
+        return SplitInstance { train: p.train, test: p.test, seedable: Box::new(|_| true) };
+    }
+    let p = prepare_split(full, &spec.split, spec.split_seed);
+    let seedable: Box<dyn Fn(&SampleMeta) -> bool + Send + Sync> = match holdout {
+        Some(&Holdout::UnseenApps { k, shuffle_seed }) => {
+            let mut seen = shuffled_applications(full, shuffle_seed);
+            seen.truncate(k);
+            Box::new(move |m| seen.contains(&m.app))
+        }
+        Some(&Holdout::UnseenDeck { deck }) => Box::new(move |m| m.input_deck != deck),
+        _ => return SplitInstance { train: p.train, test: p.test, seedable: Box::new(|_| true) },
+    };
+    // The test side keeps exactly the samples that may not seed.
+    SplitInstance { train: p.train, test: keep(&p.test, |m| !seedable(m)), seedable }
+}
+
+/// The cell's (memoised) dataset.
+pub(crate) fn dataset(spec: &CellSpec) -> Arc<SystemData> {
+    SystemData::shared(spec.system, spec.method, spec.campaign, spec.data_seed)
+}
+
 /// Evaluates one cell. Pure in the spec: equal specs produce
 /// bit-identical results regardless of worker, process, or which grid
 /// asked.
 pub fn run_cell(spec: &CellSpec) -> CellResult {
-    let data = SystemData::generate(spec.system, spec.method, spec.campaign, spec.data_seed);
-    let inst = cached_split(spec, &data);
-    let session = match &spec.task {
-        CellTask::Al { strategy, model, budget, batch } => run_batched_session(
-            model,
-            &inst.seed_pool.seed_set,
-            &inst.seed_pool.pool,
-            &inst.test,
-            &SessionConfig {
+    let data = dataset(spec);
+    let inst = cached_split(spec, &data.dataset);
+    let decompose = || {
+        let mut sp = seed_and_pool_filtered(&inst.train, &inst.seedable, spec.pool_seed);
+        let n_classes = sp.pool.n_classes();
+        let flipped =
+            flip_labels(&mut sp.pool.y, n_classes, spec.contamination_pct, spec.noise_seed);
+        (sp, flipped)
+    };
+    let (session, seed_count, pool_len, labels_flipped) = match &spec.task {
+        CellTask::Al { strategy, model, budget, batch }
+        | CellTask::HeldOutAl { strategy, model, budget, batch, .. } => {
+            let (sp, flipped) = decompose();
+            let config = SessionConfig {
                 strategy: *strategy,
                 budget: *budget,
                 target_f1: None,
                 seed: spec.session_seed,
-            },
-            (*batch).max(1),
-        ),
+            };
+            let session = run_batched_session(
+                model,
+                &sp.seed_set,
+                &sp.pool,
+                &inst.test,
+                &config,
+                (*batch).max(1),
+            );
+            (session, sp.seed_set.len(), sp.pool.len(), flipped)
+        }
         CellTask::Proctor { config } => {
-            run_proctor_session(&inst.seed_pool.seed_set, &inst.seed_pool.pool, &inst.test, config)
+            let (sp, flipped) = decompose();
+            let session = run_proctor_session(&sp.seed_set, &sp.pool, &inst.test, config);
+            (session, sp.seed_set.len(), sp.pool.len(), flipped)
+        }
+        CellTask::Fit { model, .. } => {
+            let n_classes = inst.train.n_classes();
+            let mut fitted = model.with_seed(spec.session_seed).build();
+            fitted.fit(&inst.train.x, &inst.train.y, n_classes);
+            let pred = fitted.predict(&inst.test.x);
+            // No query policy: the strategy is a placeholder, as for
+            // Proctor sessions.
+            let session = SessionResult {
+                strategy: Strategy::Random,
+                initial_scores: Scores::compute(&inst.test.y, &pred, n_classes),
+                records: Vec::new(),
+            };
+            (session, inst.train.len(), 0, 0)
         }
     };
     CellResult {
         key: spec.key(),
         spec: spec.clone(),
-        seed_count: inst.seed_pool.seed_set.len(),
-        pool_len: inst.seed_pool.pool.len(),
-        labels_flipped: inst.labels_flipped,
+        seed_count,
+        pool_len,
+        labels_flipped,
         class_names: data.dataset.encoder.names().to_vec(),
         session,
     }

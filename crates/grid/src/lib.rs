@@ -15,13 +15,15 @@
 
 pub mod cell;
 pub mod error;
+pub mod figure;
 pub mod leaderboard;
 pub mod runner;
 pub mod spec;
 pub mod stats;
 
-pub use cell::{run_cell, CellResult, CellSpec, CellTask, CELL_REV};
+pub use cell::{run_cell, CellResult, CellSpec, CellTask, Holdout, CELL_REV};
 pub use error::GridError;
+pub use figure::{Figure, FigureResult};
 pub use leaderboard::{build_leaderboard, render_markdown, LeaderboardEntry};
 pub use runner::{run_grid, GridOutcome, GridReport, GridStats, RunOptions};
 pub use spec::{FigureSpec, GridCell, GridMode, GridSpec, SweepSpec};

@@ -24,17 +24,15 @@
 //! into memo hits. A store write failure aborts the whole run (better a
 //! loud crash than a sweep that silently cannot resume).
 
-use crate::cell::{run_cell, CellResult};
+use crate::cell::{dataset, run_cell, CellResult};
 use crate::error::GridError;
+use crate::figure::{assemble, FigureResult};
 use crate::leaderboard::{build_leaderboard, render_markdown, LeaderboardEntry};
 use crate::spec::{GridCell, GridMode, GridSpec};
-use alba_active::{MethodCurves, SessionResult, Strategy};
 use alba_obs::{Obs, Value};
 use alba_store::TelemetryStore;
 use alba_trace::{Lane, Tracer};
-use albadross::experiments::CurvesResult;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How a grid run executes.
@@ -92,10 +90,9 @@ pub struct GridOutcome {
     pub leaderboard_md: String,
     /// Run counters.
     pub stats: GridStats,
-    /// Figure mode only: the reconstructed `CurvesResult`, byte-identical
-    /// to what the monolithic `run_curves` driver returns for the same
-    /// sizing.
-    pub curves: Option<CurvesResult>,
+    /// Figure mode only: the assembled figure, byte-identical to what
+    /// the replaced driver returned for the same sizing.
+    pub figure: Option<FigureResult>,
 }
 
 /// Runs a grid to completion. See the module docs for the determinism
@@ -142,7 +139,12 @@ pub fn run_grid(spec: &GridSpec, opts: &RunOptions) -> Result<GridOutcome, GridE
         lanes[i % workers].push(cell);
     }
 
-    // Lanes run on alba-par; cells inside a lane fan out no further.
+    // Lanes run on alba-par; cells inside a lane fan out no further. So
+    // the first missing cell's dataset is generated here, where feature
+    // extraction can use every core; the lanes then share it.
+    if let Some(first) = misses.first() {
+        dataset(&first.spec);
+    }
     let computed = misses.len();
     let outputs = alba_par::map(lanes.iter().enumerate(), |(w, lane)| {
         catch_unwind(AssertUnwindSafe(|| worker_loop(w, lane, opts.store.as_ref(), obs, tracer)))
@@ -177,8 +179,8 @@ pub fn run_grid(spec: &GridSpec, opts: &RunOptions) -> Result<GridOutcome, GridE
 
     let leaderboard = build_leaderboard(&cells, &results);
     let leaderboard_md = render_markdown(&leaderboard);
-    let curves = match &spec.mode {
-        GridMode::Figure(fig) => Some(reconstruct_curves(fig, &cells, &results)),
+    let figure = match &spec.mode {
+        GridMode::Figure(fig) => Some(assemble(fig, &cells, &results)),
         GridMode::Sweep(_) => None,
     };
     let report = GridReport {
@@ -194,7 +196,7 @@ pub fn run_grid(spec: &GridSpec, opts: &RunOptions) -> Result<GridOutcome, GridE
         json,
         leaderboard_md,
         stats: GridStats { cells: cells.len(), memo_hits, computed },
-        curves,
+        figure,
     })
 }
 
@@ -236,49 +238,6 @@ fn worker_loop(
     Ok(out)
 }
 
-/// Rebuilds the monolithic driver's `CurvesResult` from figure-mode
-/// cells: sessions regroup by pipeline in expansion order (= the job
-/// order `run_curves` uses), curves aggregate in its display order.
-fn reconstruct_curves(
-    fig: &crate::spec::FigureSpec,
-    cells: &[GridCell],
-    results: &[CellResult],
-) -> CurvesResult {
-    let mut sessions: BTreeMap<String, Vec<SessionResult>> = BTreeMap::new();
-    for (cell, result) in cells.iter().zip(results) {
-        sessions.entry(cell.pipeline.clone()).or_default().push(result.session.clone());
-    }
-    let mut order: Vec<String> = Strategy::ALL.iter().map(|s| s.name().to_string()).collect();
-    if fig.include_proctor {
-        order.push("proctor".to_string());
-    }
-    let curves: Vec<MethodCurves> = order
-        .iter()
-        .filter_map(|name| sessions.get(name).map(|s| MethodCurves::from_sessions(name, s)))
-        .collect();
-
-    // One seed-set size per split: the first cell of each pair shares
-    // its split with the rest.
-    let mut seen: Vec<u64> = Vec::new();
-    let mut seed_sum = 0.0f64;
-    for (cell, result) in cells.iter().zip(results) {
-        if !seen.contains(&cell.pair_id) {
-            seen.push(cell.pair_id);
-            seed_sum += result.seed_count as f64;
-        }
-    }
-    let mean_seed_count = if seen.is_empty() { 0.0 } else { seed_sum / seen.len() as f64 };
-    let class_names = results.first().map(|r| r.class_names.clone()).unwrap_or_default();
-    CurvesResult {
-        system: fig.system,
-        method: fig.method.unwrap_or_else(|| fig.system.best_feature_method()),
-        curves,
-        sessions,
-        mean_seed_count,
-        class_names,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,7 +260,7 @@ mod tests {
         assert_eq!(out.stats.memo_hits, 0);
         assert_eq!(out.stats.computed, 4);
         assert_eq!(out.name, "unit");
-        assert!(out.curves.is_none());
+        assert!(out.figure.is_none());
         let report: GridReport = serde_json::from_str(&out.json).unwrap();
         assert_eq!(report.cells.len(), 4);
         assert_eq!(report.leaderboard.len(), 2);
@@ -351,7 +310,9 @@ mod tests {
                       "method": "mvts", "scale": "smoke", "seed": 3}"#;
         let spec = GridSpec::parse(fig, None).unwrap();
         let out = run_grid(&spec, &RunOptions::default()).unwrap();
-        let curves = out.curves.expect("figure mode yields curves");
+        let Some(crate::FigureResult::Curves(curves)) = out.figure else {
+            panic!("a curves figure yields curves")
+        };
         assert_eq!(curves.curves.len(), 6, "5 strategies + proctor");
         assert_eq!(out.stats.cells, 12);
     }

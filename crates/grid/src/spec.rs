@@ -2,10 +2,10 @@
 //!
 //! Two modes share one file format (discriminated by `"mode"`):
 //!
-//! * **figure** — replays a paper figure (Fig. 3 / Fig. 5) through the
-//!   grid runner. Expansion mirrors `run_curves` *exactly*: same job
-//!   order, same seed derivations, so the merged sessions are
-//!   byte-identical to the monolithic driver's.
+//! * **figure** — replays a paper figure through the grid runner; the
+//!   `"figure"` field picks it (`curves` for Figs. 3 / 5, the default;
+//!   `unseen_apps`, `robustness` and `unseen_inputs` for Figs. 6–8).
+//!   Expansion and assembly live in [`crate::figure`].
 //! * **sweep** — a cross-product over pipelines (extractor × model ×
 //!   strategy × budget) and seeds, optionally with pool-label
 //!   contamination; feeds the paired-statistics leaderboard.
@@ -17,6 +17,7 @@
 
 use crate::cell::{CellSpec, CellTask, CELL_REV};
 use crate::error::GridError;
+use crate::figure::{expand_figure, Figure};
 use alba_active::Strategy;
 use alba_ml::{ModelFamily, ModelSpec};
 use alba_telemetry::Scale;
@@ -47,6 +48,8 @@ pub struct GridCell {
 /// Figure-mode parameters.
 #[derive(Clone, Debug)]
 pub struct FigureSpec {
+    /// Which figure to replay.
+    pub figure: Figure,
     /// System to evaluate.
     pub system: System,
     /// Feature method (`None` = the system's Table V best).
@@ -277,12 +280,26 @@ impl GridSpec {
         f: &mut Fields<'_>,
         scale_override: Option<&RunScale>,
     ) -> Result<GridSpec, GridError> {
+        let figure = match f.get("figure").map(|v| as_str(v, "figure")).transpose()? {
+            None | Some("curves") => Figure::Curves,
+            Some("unseen_apps") => Figure::UnseenApps,
+            Some("robustness") => Figure::Robustness,
+            Some("unseen_inputs") => Figure::UnseenInputs,
+            Some(other) => {
+                return Err(spec_err(format!(
+                    "unknown figure `{other}` (curves|unseen_apps|robustness|unseen_inputs)"
+                )))
+            }
+        };
         let system = parse_system(as_str(f.require("system")?, "system")?)?;
         let method = match f.get("method") {
             Some(v) => Some(parse_method(as_str(v, "method")?)?),
             None => None,
         };
         let include_proctor = match f.get("include_proctor") {
+            Some(_) if figure != Figure::Curves => {
+                return Err(spec_err("`include_proctor` applies only to figure `curves`"))
+            }
             Some(v) => as_bool(v, "include_proctor")?,
             None => true,
         };
@@ -303,7 +320,7 @@ impl GridSpec {
         };
         Ok(GridSpec {
             name,
-            mode: GridMode::Figure(FigureSpec { system, method, include_proctor, scale }),
+            mode: GridMode::Figure(FigureSpec { figure, system, method, include_proctor, scale }),
         })
     }
 
@@ -348,9 +365,12 @@ impl GridSpec {
             None => 150,
         };
         let batch = match f.get("batch") {
-            Some(v) => as_usize(v, "batch")?.max(1),
+            Some(v) => as_usize(v, "batch")?,
             None => 1,
         };
+        if batch == 0 {
+            return Err(spec_err("batch must be positive"));
+        }
         let contamination_pct = match f.get("contamination_pct") {
             Some(v) => as_f64(v, "contamination_pct")?,
             None => 0.0,
@@ -391,61 +411,6 @@ impl GridSpec {
             GridMode::Sweep(sw) => expand_sweep(sw),
         }
     }
-}
-
-/// Figure expansion. Job order and every seed derivation mirror
-/// `run_curves` — the merged sessions must be byte-identical to the
-/// monolithic driver, which is what `tests/determinism.rs` pins.
-fn expand_figure(fig: &FigureSpec) -> Vec<GridCell> {
-    let scale = &fig.scale;
-    let method = fig.method.unwrap_or_else(|| fig.system.best_feature_method());
-    let model = scale.model(fig.system == System::Volta);
-    let base = |rep: u64, session_seed: u64, task: CellTask| CellSpec {
-        rev: CELL_REV,
-        system: fig.system,
-        method,
-        campaign: scale.campaign,
-        data_seed: scale.seed,
-        split: scale.split,
-        split_seed: scale.seed ^ ((rep + 1) * 0x9E37_79B9),
-        pool_seed: scale.seed ^ (rep + 101),
-        session_seed,
-        contamination_pct: 0.0,
-        noise_seed: 0,
-        task,
-    };
-    let mut cells = Vec::new();
-    for rep in 0..scale.n_splits as u64 {
-        for s in Strategy::ALL {
-            let repeats = if s.is_informative() { 1 } else { scale.baseline_repeats };
-            for r in 0..repeats as u64 {
-                let session_seed = scale.seed ^ (rep << 16) ^ (r << 32) ^ 0xF00D;
-                let task = CellTask::Al {
-                    strategy: s,
-                    model: model.clone(),
-                    budget: scale.budget,
-                    batch: 1,
-                };
-                cells.push(GridCell {
-                    idx: cells.len(),
-                    pipeline: s.name().to_string(),
-                    pair_id: rep,
-                    spec: base(rep, session_seed, task),
-                });
-            }
-        }
-        if fig.include_proctor {
-            let session_seed = scale.seed ^ (rep << 16) ^ 0xF00D;
-            let task = CellTask::Proctor { config: scale.proctor(session_seed) };
-            cells.push(GridCell {
-                idx: cells.len(),
-                pipeline: "proctor".to_string(),
-                pair_id: rep,
-                spec: base(rep, session_seed, task),
-            });
-        }
-    }
-    cells
 }
 
 /// Sweep expansion: seed-major cross-product, so one seed's cells (one
@@ -546,6 +511,37 @@ mod tests {
     }
 
     #[test]
+    fn held_out_figures_expand_the_paper_constants() {
+        let expand = |figure: &str| {
+            let src = FIG.replace("\"volta\"", &format!("\"volta\", \"figure\": \"{figure}\""));
+            GridSpec::parse(&src, None).unwrap().expand()
+        };
+        // Fig. 6: 3 app counts × 5 combos × 2 strategies, driver seeds.
+        let fig6 = expand("unseen_apps");
+        assert_eq!(fig6.len(), 30);
+        let combo_seed = 3 ^ (2u64 << 24);
+        assert_eq!(fig6[0].pipeline, "uncertainty+k2");
+        assert_eq!(fig6[1].pipeline, "random+k2");
+        assert_eq!(fig6[0].spec.split_seed, combo_seed ^ 0x5);
+        assert_eq!(fig6[0].spec.session_seed, combo_seed ^ 0x7);
+        // Fig. 7: 5 combos × 4 app counts, then one fit per smoke split.
+        let fig7 = expand("robustness");
+        assert_eq!(fig7.len(), 5 * 4 + 2);
+        assert_eq!(fig7[3].pipeline, "fit+k8");
+        assert_eq!(fig7[20].pipeline, "fit+all_apps");
+        assert_eq!(fig7[20].spec.split_seed, 3 ^ 0x9E37_79B9);
+        // Fig. 8: 3 decks × 2 strategies.
+        let fig8 = expand("unseen_inputs");
+        assert_eq!(fig8.len(), 6);
+        assert_eq!(fig8[2].spec.split_seed, 3 ^ 0xDEC ^ (1 << 12));
+        let mut keys: Vec<String> =
+            fig6.iter().chain(&fig7).chain(&fig8).map(|c| c.spec.key()).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), 58, "every cell is distinct");
+    }
+
+    #[test]
     fn sweep_expansion_is_seed_major_cross_product() {
         let spec = GridSpec::parse(SWEEP, None).unwrap();
         let cells = spec.expand();
@@ -572,6 +568,16 @@ mod tests {
         assert!(GridSpec::parse(&bad, None).is_err());
         let bad = SWEEP.replace("[4, 8]", "[]");
         assert!(GridSpec::parse(&bad, None).is_err());
+        let bad = SWEEP.replace("\"seeds\"", "\"batch\": 0, \"seeds\"");
+        let err = GridSpec::parse(&bad, None).unwrap_err();
+        assert!(err.to_string().contains("batch"), "{err}");
+        let bad = FIG.replace("\"figure\"", "\"figure\", \"figure\": \"fig9\"");
+        assert!(GridSpec::parse(&bad, None).is_err(), "unknown figure");
+        let bad = FIG.replace(
+            "\"figure\"",
+            "\"figure\", \"figure\": \"robustness\", \"include_proctor\": false",
+        );
+        assert!(GridSpec::parse(&bad, None).is_err(), "proctor only on curves");
         assert!(GridSpec::parse("{\"mode\": \"figure\"}", None).is_err(), "name required");
     }
 

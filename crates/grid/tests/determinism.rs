@@ -1,10 +1,11 @@
 //! Integration tests pinning the grid's determinism contracts:
-//! figure-mode equivalence with the monolithic `run_curves` driver,
-//! worker-count invariance, cross-spec memoisation, and byte-identical
-//! resume after a mid-sweep crash.
+//! figure-mode equivalence with the monolithic `run_curves` driver and
+//! with the committed Figs. 6–8 goldens, worker-count invariance,
+//! cross-spec memoisation, and byte-identical resume after a mid-sweep
+//! crash.
 
 use alba_chaos::Failpoints;
-use alba_grid::{run_grid, GridSpec, RunOptions};
+use alba_grid::{run_grid, FigureResult, GridSpec, RunOptions};
 use alba_store::TelemetryStore;
 use albadross::experiments::{run_curves, CurvesConfig};
 use albadross::{RunScale, System};
@@ -58,7 +59,9 @@ const SWEEP_PARTIAL: &str = r#"{
 fn figure_grid_matches_monolithic_run_curves() {
     let spec = GridSpec::parse(FIG_SMOKE, None).expect("parse");
     let out = run_grid(&spec, &RunOptions::default()).expect("grid");
-    let grid_curves = out.curves.expect("figure mode yields curves");
+    let Some(FigureResult::Curves(grid_curves)) = out.figure else {
+        panic!("a curves figure yields curves")
+    };
 
     let reference = run_curves(&CurvesConfig {
         system: System::Volta,
@@ -76,6 +79,64 @@ fn figure_grid_matches_monolithic_run_curves() {
     assert_eq!(grid_curves.mean_seed_count, reference.mean_seed_count);
     assert_eq!(grid_curves.class_names, reference.class_names);
     assert_eq!(grid_curves.method, reference.method);
+}
+
+fn repo_file(rel: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// Runs a committed figure spec at smoke scale, seed 7 (the goldens'
+/// sizing), and checks its JSON against `results/<id>_smoke.json`,
+/// which the replaced driver wrote.
+fn smoke_figure_matches_golden(id: &str) -> FigureResult {
+    let src = repo_file(&format!("specs/{id}.json"));
+    let spec = GridSpec::parse(&src, Some(&RunScale::smoke(7))).expect("parse");
+    let figure = run_grid(&spec, &RunOptions::default()).expect("grid").figure.expect("figure");
+    let json = match &figure {
+        FigureResult::UnseenApps(r) => serde_json::to_string_pretty(r),
+        FigureResult::Robustness(r) => serde_json::to_string_pretty(r),
+        FigureResult::UnseenInputs(r) => serde_json::to_string_pretty(r),
+        FigureResult::Curves(r) => serde_json::to_string_pretty(&r.curves),
+    }
+    .expect("ser");
+    assert!(
+        json == repo_file(&format!("results/{id}_smoke.json")),
+        "{id} at smoke seed 7 diverged from results/{id}_smoke.json"
+    );
+    figure
+}
+
+/// Figs. 6–8 replay their drivers byte for byte, and keep the paper's
+/// shapes: more seeded applications start higher (Fig. 6), training on
+/// two applications trails the all-apps reference (Fig. 7), and an
+/// unseen input deck degrades the start (Fig. 8).
+#[test]
+fn held_out_figures_match_their_goldens() {
+    let FigureResult::UnseenApps(fig6) = smoke_figure_matches_golden("fig6") else {
+        panic!("fig6 is an unseen-apps figure")
+    };
+    let start = |i: usize| fig6.scenarios[i].curves[0].f1.mean[0];
+    assert!(start(2) + 0.1 >= start(0), "6-app start {} vs 2-app {}", start(2), start(0));
+    assert!(fig6.scenarios.iter().all(|s| s.to_095.contains_key("uncertainty")));
+    assert!(fig6.render().contains("2 training applications"));
+
+    let FigureResult::Robustness(fig7) = smoke_figure_matches_golden("fig7") else {
+        panic!("fig7 is a robustness figure")
+    };
+    let cv = fig7.cv_reference.f1;
+    assert!(cv > 0.5, "cv reference {cv}");
+    assert!(fig7.points[0].f1.0 < cv, "2-app F1 {} must trail {cv}", fig7.points[0].f1.0);
+    assert!(fig7.points.iter().all(|p| (0.0..=1.0).contains(&p.f1.0)));
+    assert!(fig7.render().contains("5-fold CV"));
+
+    let FigureResult::UnseenInputs(fig8) = smoke_figure_matches_golden("fig8") else {
+        panic!("fig8 is an unseen-inputs figure")
+    };
+    let start = fig8.curves[0].f1.mean[0];
+    assert!(start < 0.9, "unseen-deck start F1 {start} should be degraded");
+    assert!(fig8.curves.iter().all(|c| c.f1.mean.iter().all(|v| (0.0..=1.0).contains(v))));
+    assert!(fig8.render().contains("unseen application inputs"));
 }
 
 /// Same spec at 1, 2, and 4 workers: byte-identical reports and

@@ -385,6 +385,33 @@ print(f"  6 cells: 3 primed, resume hit {resumed['cache_hits']} + computed "
       f"{resumed['cache_misses']}, report byte-identical to storeless run: OK")
 EOF
 
+echo "==> grid figure smoke (fig8 spec: store-resumed report byte-identical to storeless)"
+FIG8_STORE=$(mktemp -d)
+OUT_FIG8_COLD=$(mktemp -d)
+OUT_FIG8_PRIME=$(mktemp -d)
+OUT_FIG8_RES=$(mktemp -d)
+trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$FIG8_STORE" "$OUT_FIG8_COLD" "$OUT_FIG8_PRIME" "$OUT_FIG8_RES"' EXIT
+cargo run --release -p alba-bench --bin repro -- \
+    --grid specs/fig8.json --scale smoke --seed 7 --out "$OUT_FIG8_COLD" >/dev/null
+# The first store run persists every cell; the second resumes from them.
+for out in "$OUT_FIG8_PRIME" "$OUT_FIG8_RES"; do
+    cargo run --release -p alba-bench --bin repro -- \
+        --grid specs/fig8.json --scale smoke --seed 7 \
+        --store "$FIG8_STORE" --out "$out" >/dev/null
+done
+cmp "$OUT_FIG8_COLD/grid_fig8.json" "$OUT_FIG8_RES/grid_fig8.json" \
+    || { echo "store-resumed fig8 grid report diverged from the storeless run" >&2; exit 1; }
+python3 - "$OUT_FIG8_RES" <<'EOF'
+import json
+import pathlib
+import sys
+
+stats = json.loads((pathlib.Path(sys.argv[1]) / "store_stats_grid_fig8.json").read_text())
+(row,) = [k for k in stats["kinds"] if k["kind"] == "cell"]
+assert row["cache_hits"] == 6 and row["cache_misses"] == 0, row
+print("  fig8: 6 cells resumed from the store, report byte-identical to storeless run: OK")
+EOF
+
 echo "==> grid throughput bench (BENCH_grid.json exists, memo replay hits 100%)"
 ALBA_BENCH_QUICK=1 cargo bench -p alba-bench --bench grid_throughput
 python3 - <<'EOF'
@@ -404,7 +431,7 @@ EOF
 echo "==> parallel smoke (fleet_monitor at 1 vs 4 workers: artifacts byte-identical)"
 OUT_PAR_1=$(mktemp -d)
 OUT_PAR_4=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$OUT_PAR_1" "$OUT_PAR_4"' EXIT
+trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$FIG8_STORE" "$OUT_FIG8_COLD" "$OUT_FIG8_PRIME" "$OUT_FIG8_RES" "$OUT_PAR_1" "$OUT_PAR_4"' EXIT
 ALBA_WORKERS=1 ALBA_MONITOR_OUT="$OUT_PAR_1" \
     cargo run --release --example fleet_monitor >/dev/null
 ALBA_WORKERS=4 ALBA_MONITOR_OUT="$OUT_PAR_4" \
