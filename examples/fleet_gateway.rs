@@ -59,6 +59,10 @@ fn config(seed: u64) -> ServeConfig {
     cfg.uncertainty_threshold = 0.3;
     cfg.retrain_batch = 8;
     cfg.max_retrains = 2;
+    // One pool worker: the `par_worker_*` rows of the committed metric
+    // scrape then do not depend on the host's core count (events and
+    // traces are identical at any worker count).
+    cfg.n_workers = 1;
     cfg
 }
 
