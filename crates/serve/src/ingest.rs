@@ -17,7 +17,7 @@
 //! routing.
 
 use crate::replay::TelemetrySample;
-use alba_obs::{Counter, Obs, Value};
+use alba_obs::{Obs, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -109,8 +109,6 @@ pub struct IngestLayer {
     /// Required reading-vector width (`None` disables the check).
     expected_width: Option<usize>,
     obs: Obs,
-    accepted_c: Counter,
-    dropped_c: Counter,
 }
 
 impl IngestLayer {
@@ -119,8 +117,8 @@ impl IngestLayer {
         Self::with_obs(n_nodes, capacity, Obs::disabled())
     }
 
-    /// One queue per node, with drops counted in the obs registry
-    /// (`ingest_dropped_total`) and emitted as `sample_drop` events.
+    /// One queue per node, with every drop emitted as a structured
+    /// event. The counts themselves live in [`IngestLayer::stats`].
     pub fn with_obs(n_nodes: usize, capacity: usize, obs: Obs) -> Self {
         Self {
             queues: (0..n_nodes).map(|_| SampleQueue::new(capacity)).collect(),
@@ -128,8 +126,6 @@ impl IngestLayer {
             unroutable: 0,
             malformed: 0,
             expected_width: None,
-            accepted_c: obs.counter("ingest_accepted_total", &[]),
-            dropped_c: obs.counter("ingest_dropped_total", &[]),
             obs,
         }
     }
@@ -153,7 +149,6 @@ impl IngestLayer {
         let (node, at) = (sample.node, sample.at);
         if node >= self.queues.len() {
             self.unroutable += 1;
-            self.obs.counter("ingest_unroutable_total", &[]).inc();
             self.obs.event(
                 "sample_unroutable",
                 &[("node", Value::from(node)), ("at", Value::from(at))],
@@ -163,7 +158,6 @@ impl IngestLayer {
         if let Some(width) = self.expected_width {
             if sample.values.len() != width {
                 self.malformed += 1;
-                self.obs.counter("ingest_malformed_total", &[]).inc();
                 self.obs.event(
                     "sample_malformed",
                     &[
@@ -177,10 +171,8 @@ impl IngestLayer {
             }
         }
         if self.queues[node].push(sample) {
-            self.accepted_c.inc();
             return true;
         }
-        self.dropped_c.inc();
         self.obs.event(
             "sample_drop",
             &[
@@ -328,8 +320,7 @@ mod tests {
             layer.offer(sample(1, t));
         }
         assert_eq!(layer.stats().dropped, 2);
-        assert_eq!(obs.counter("ingest_dropped_total", &[]).get(), 2);
-        assert_eq!(obs.counter("ingest_accepted_total", &[]).get(), 2);
+        assert_eq!(layer.stats().pushed, 2);
         let lines = sink.lines();
         assert_eq!(lines.len(), 2, "one event per shed sample");
         assert!(lines[0].contains(r#""kind":"sample_drop""#));
@@ -367,8 +358,6 @@ mod tests {
         assert_eq!(st.malformed, 2, "corruption counted separately");
         assert_eq!(st.dropped, 1, "backpressure counted separately");
         assert_eq!(st.pushed, 2);
-        assert_eq!(obs.counter("ingest_malformed_total", &[]).get(), 2);
-        assert_eq!(obs.counter("ingest_dropped_total", &[]).get(), 1);
         let kinds: Vec<String> = sink
             .lines()
             .iter()

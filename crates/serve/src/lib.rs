@@ -27,11 +27,17 @@
 //!
 //! The whole pipeline is instrumented with
 //! [`alba-obs`](alba_obs): build the service with
-//! [`FleetService::with_obs`] and every stage records spans into the
-//! metric registry, the shards keep busy/latency histograms, and
-//! structured events (`alarm`, `label_request`, `model_swap`,
-//! `sample_drop`) stream to the registry's JSONL sink.
-//! [`FleetService::prometheus`] dumps it all in text-exposition format.
+//! [`FleetService::with_obs`] and the shards keep busy/latency
+//! histograms, structured events (`alarm`, `label_request`,
+//! `model_swap`, `sample_drop`) stream to the registry's JSONL sink,
+//! and each tick stage — `ingest`, `drain`, `process`, `alarm`,
+//! `feedback` — plus each `retrain` round is timed by one call that
+//! records the `stage_ns{stage}` histogram (`retrain_ns` for retrains)
+//! *and* the service-lane trace hop of the same name.
+//! [`FleetService::prometheus`] dumps the registry in text-exposition
+//! format, with the counters whose one record is [`ServiceStats`]:
+//! `ingest_{accepted,dropped,malformed,unroutable}_total` and
+//! `shard_{malformed,misrouted}_total{shard}`.
 //! With a [`TickClock`](alba_obs::TickClock) two equally-seeded runs
 //! emit identical event logs (see the integration suite).
 //!

@@ -160,6 +160,69 @@ impl Clone for PoolCell {
     }
 }
 
+/// The tick's timed stages. A stage's name is both the `stage` label of
+/// its `stage_ns` histogram (`Retrain` records into `retrain_ns`) and the
+/// stage of its service-lane trace hop, so metrics and traces break a
+/// tick down in one vocabulary.
+#[derive(Clone, Copy)]
+enum Stage {
+    Ingest,
+    Drain,
+    Process,
+    Alarm,
+    Feedback,
+    Retrain,
+}
+
+/// A running [`Stage`]: its start on each sink's own clock. A run may
+/// give obs and the tracer different clocks (`Obs::wall` beside a
+/// tick-clock tracer); each sink's determinism rests on its own.
+struct StageTimer {
+    stage: Stage,
+    obs_t0: u64,
+    trace_t0: u64,
+}
+
+impl Stage {
+    fn name(self) -> &'static str {
+        match self {
+            Stage::Ingest => "ingest",
+            Stage::Drain => "drain",
+            Stage::Process => "process",
+            Stage::Alarm => "alarm",
+            Stage::Feedback => "feedback",
+            Stage::Retrain => "retrain",
+        }
+    }
+
+    /// Starts the stage (a disabled sink reads no clock).
+    fn start(self, svc: &FleetService) -> StageTimer {
+        StageTimer { stage: self, obs_t0: svc.obs.now_ns(), trace_t0: svc.tracer.now_ns() }
+    }
+}
+
+impl StageTimer {
+    /// Ends the stage: its obs-clock duration lands in the stage
+    /// histogram, and one service-lane hop records its tracer-clock
+    /// `dur_ns` followed by `fields`.
+    fn finish(self, svc: &FleetService, now: usize, fields: &[(&str, Value)]) {
+        let name = self.stage.name();
+        if svc.obs.is_enabled() {
+            let hist = match self.stage {
+                Stage::Retrain => svc.obs.histogram("retrain_ns", &[]),
+                _ => svc.obs.histogram("stage_ns", &[("stage", name)]),
+            };
+            hist.record(svc.obs.now_ns().saturating_sub(self.obs_t0));
+        }
+        if svc.tracer.is_enabled() {
+            let dur = svc.tracer.now_ns().saturating_sub(self.trace_t0);
+            let mut all = vec![("dur_ns", Value::from(dur))];
+            all.extend_from_slice(fields);
+            svc.tracer.hop(Lane::Service, &svc.tracer.service_ctx(now), name, &all);
+        }
+    }
+}
+
 /// The running service.
 #[derive(Clone)]
 pub struct FleetService {
@@ -169,9 +232,13 @@ pub struct FleetService {
     shards: Vec<Shard>,
     /// node → shard index.
     shard_of: Vec<usize>,
-    /// Epoch-barrier worker pool (built lazily on the first tick and
-    /// rebuilt when the effective worker count changes).
+    /// Epoch-barrier worker pool (built lazily on the first tick).
     pool: PoolCell,
+    /// Worker threads the pool runs on: `cfg.n_workers`, with `0`
+    /// meaning one per core, never more than there are shards (the
+    /// assignment is static, so extra workers would only idle).
+    /// Resolved once at build.
+    n_workers: usize,
     /// Extractor/view the shards were built from — kept so a shard lost
     /// to a dead worker can be rebuilt from scratch.
     extractor: Arc<dyn FeatureExtractor + Send + Sync>,
@@ -184,7 +251,6 @@ pub struct FleetService {
     /// Ground-truth label per node (the labelling oracle).
     oracle: Vec<String>,
     alarm_log: Vec<NodeAlarm>,
-    alarms_by_label: BTreeMap<String, u64>,
     swap_ticks: Vec<usize>,
     tick: usize,
     samples_emitted: u64,
@@ -367,8 +433,13 @@ impl FleetService {
                     obs.clone(),
                 )
             })
-            .collect();
+            .collect::<Vec<_>>();
         build_span.finish();
+        let n_workers = match cfg.n_workers {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            w => w,
+        }
+        .clamp(1, shards.len().max(1));
 
         let label_queue = LabelQueue::new(cfg.label_queue_capacity);
         let journal_backoff = Backoff { seed: cfg.fleet.seed, ..Backoff::default() };
@@ -379,6 +450,7 @@ impl FleetService {
             shards,
             shard_of,
             pool: PoolCell(None),
+            n_workers,
             extractor,
             view,
             model,
@@ -387,7 +459,6 @@ impl FleetService {
             journal,
             oracle,
             alarm_log: Vec::new(),
-            alarms_by_label: BTreeMap::new(),
             swap_ticks,
             tick: 0,
             samples_emitted: 0,
@@ -538,31 +609,7 @@ impl FleetService {
     /// Advances the service by one second of fleet time. Returns `false`
     /// once the replay is exhausted and every queue has drained.
     pub fn tick(&mut self) -> bool {
-        // alba-lint: allow(no-ambient-time) reason="wall busy-time measurement only; excluded from replay-identity artifacts"
-        let start = Instant::now();
-        let now = self.tick;
-
-        // 0. Chaos pre-stage: open this tick's fault windows (emitting
-        //    `fault_injected` events on the tick thread, in plan order)
-        //    and arm the machinery they target.
-        if self.chaos.is_some() {
-            self.open_fault_windows(now);
-        }
-
-        // 1. Replay emits; the ingest layer buffers (or sheds). Under
-        //    chaos every sample first passes the telemetry injector and
-        //    the quarantine gate.
-        let trace_t0 = self.tracer.now_ns();
-        let ingest_span = self.obs.span("stage_ns", &[("stage", "ingest")]);
-        let emitted = self.replay.tick();
-        let n_emitted = emitted.len();
-        self.offer_batch(emitted, now);
-        ingest_span.finish();
-        self.trace_stage(now, "ingest", trace_t0, n_emitted as u64);
-
-        self.tick_core(now);
-        self.tick += 1;
-        self.wall_ns += start.elapsed().as_nanos() as u64;
+        self.step(|svc, _| svc.replay.tick());
         !(self.replay.is_exhausted() && self.ingest.is_empty())
     }
 
@@ -577,106 +624,43 @@ impl FleetService {
     /// Returns `false` once the frontier is done and every queue has
     /// drained.
     pub fn tick_from(&mut self, frontier: &mut dyn NetFrontier) -> bool {
-        // alba-lint: allow(no-ambient-time) reason="wall busy-time measurement only; excluded from replay-identity artifacts"
-        let start = Instant::now();
-        let now = self.tick;
-        if self.chaos.is_some() {
-            self.open_fault_windows(now);
-        }
-        let trace_t0 = self.tracer.now_ns();
-        let ingest_span = self.obs.span("stage_ns", &[("stage", "ingest")]);
-        let emitted = frontier.poll(now);
-        let n_emitted = emitted.len();
-        self.offer_batch(emitted, now);
-        ingest_span.finish();
-        self.trace_stage(now, "ingest", trace_t0, n_emitted as u64);
-
-        self.tick_core(now);
-        self.tick += 1;
-        self.wall_ns += start.elapsed().as_nanos() as u64;
+        self.step(|_, now| frontier.poll(now));
         !(frontier.is_done(self.tick) && self.ingest.is_empty())
     }
 
-    /// Offers one tick's emitted samples into ingest, through the chaos
-    /// injector/quarantine gate when the run is chaotic.
-    fn offer_batch(&mut self, emitted: Vec<TelemetrySample>, now: usize) {
-        self.samples_emitted += emitted.len() as u64;
+    /// One tick, whatever feeds it: `emit` hands over the tick's samples
+    /// (timed as part of ingest, after this tick's fault windows open),
+    /// then ingest → drain → process → alarm bus → feedback.
+    fn step(&mut self, emit: impl FnOnce(&mut Self, usize) -> Vec<TelemetrySample>) {
+        // alba-lint: allow(no-ambient-time) reason="wall busy-time measurement only; excluded from replay-identity artifacts"
+        let start = Instant::now();
+        let now = self.tick;
+
+        // 0. Chaos pre-stage: open this tick's fault windows (emitting
+        //    `fault_injected` events on the tick thread, in plan order)
+        //    and arm the machinery they target.
         if self.chaos.is_some() {
-            for s in emitted {
-                self.offer_through_chaos(s, now);
-            }
-        } else if self.tracer.is_enabled() {
-            for s in emitted {
-                let (node, at) = (s.node, s.at);
-                let accepted = self.ingest.offer(s);
-                Self::trace_ingest(
-                    &self.tracer,
-                    &self.shard_of,
-                    node,
-                    at,
-                    if accepted { "accepted" } else { "shed" },
-                );
-            }
-        } else {
-            for s in emitted {
-                self.ingest.offer(s);
-            }
+            self.open_fault_windows(now);
         }
-    }
 
-    /// Records one per-sample ingest hop on the owning shard's lane.
-    /// The hop's trace id is derived from `(seed, node, at)` — the same
-    /// id the net gateway minted when it decoded the sample's frame, so
-    /// the chain is causal across the wire without carrying an id in it.
-    /// (Associated fn over disjoint fields: callers hold `&mut
-    /// self.chaos` while tracing.)
-    fn trace_ingest(tracer: &Tracer, shard_of: &[usize], node: usize, at: usize, outcome: &str) {
-        if !tracer.is_enabled() {
-            return;
+        // 1. The source emits; the ingest layer buffers (or sheds).
+        let stage = Stage::Ingest.start(self);
+        let emitted = emit(self, now);
+        let n_emitted = emitted.len();
+        self.samples_emitted += n_emitted as u64;
+        for s in emitted {
+            self.offer_one(s, now);
         }
-        let lane = shard_of.get(node).map_or(Lane::Service, |&s| Lane::Shard(s as u32));
-        tracer.hop(
-            lane,
-            &tracer.ctx(node, at),
-            "ingest_offer",
-            &[("outcome", Value::Str(outcome.to_string()))],
-        );
-    }
+        stage.finish(self, now, &[("items", Value::from(n_emitted))]);
 
-    /// Records one per-tick pipeline-stage hop on the service lane with
-    /// its duration against the tracer's clock.
-    fn trace_stage(&self, now: usize, stage: &str, t0: u64, items: u64) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        self.tracer.hop(
-            Lane::Service,
-            &self.tracer.service_ctx(now),
-            stage,
-            &[
-                ("dur_ns", Value::from(self.tracer.now_ns().saturating_sub(t0))),
-                ("items", Value::from(items)),
-            ],
-        );
-    }
-
-    /// Stages 2–5 of a tick (drain → process → alarm bus → feedback),
-    /// shared by the replay-driven and frontier-driven entry points.
-    fn tick_core(&mut self, now: usize) {
         // 2. Each shard drains its nodes' queues into one tick batch —
         //    the ingest layer holds the shard partition, so the drain
         //    feeds per-shard input batches directly.
-        let trace_t0 = self.tracer.now_ns();
-        let drain_span = self.obs.span("stage_ns", &[("stage", "drain")]);
+        let stage = Stage::Drain.start(self);
         let batches: Vec<Vec<TelemetrySample>> =
             (0..self.shards.len()).map(|sid| self.ingest.drain_shard(sid)).collect();
-        drain_span.finish();
-        self.trace_stage(
-            now,
-            "drain",
-            trace_t0,
-            batches.iter().map(Vec::len).sum::<usize>() as u64,
-        );
+        let drained: usize = batches.iter().map(Vec::len).sum();
+        stage.finish(self, now, &[("items", Value::from(drained))]);
 
         // 3. Shards process in parallel on the pool: each shard is moved
         //    onto its statically assigned worker (`slot % workers`) for
@@ -686,18 +670,15 @@ impl FleetService {
         //    shard is caught on the worker, returned with its panic
         //    payload, and restarted here (on the tick thread) with the
         //    current — i.e. last-journaled — model re-installed.
-        let trace_t0 = self.tracer.now_ns();
-        let process_span = self.obs.span("stage_ns", &[("stage", "process")]);
-        let n_workers = self.effective_workers();
-        let mut pool = match self.pool.0.take() {
-            Some(p) if p.n_workers() == n_workers => p,
-            _ => Pool::new(n_workers, self.obs.clone(), |_w, mut job: ShardJob| {
+        let stage = Stage::Process.start(self);
+        let mut pool = self.pool.0.take().unwrap_or_else(|| {
+            Pool::new(self.n_workers, self.obs.clone(), |_w, mut job: ShardJob| {
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     job.shard.process(&job.batch, job.now)
                 }));
                 ShardDone { shard: job.shard, outcome }
-            }),
-        };
+            })
+        });
         let jobs: Vec<ShardJob> = std::mem::take(&mut self.shards)
             .into_iter()
             .zip(batches)
@@ -754,19 +735,17 @@ impl FleetService {
                 }
             }
         }
-        process_span.finish();
-        self.trace_stage(now, "process", trace_t0, self.shards.len() as u64);
+        stage.finish(self, now, &[("items", Value::from(self.shards.len()))]);
 
         // 4. Alarm bus + uncertainty gate. Events are emitted here, on
         //    the tick thread in shard order — never from the parallel
         //    section above — so event logs are deterministic.
-        let trace_t0 = self.tracer.now_ns();
-        let alarm_span = self.obs.span("stage_ns", &[("stage", "alarm")]);
+        let stage = Stage::Alarm.start(self);
         let gating_open = self.swap_ticks.len() < self.cfg.max_retrains;
-        let mut n_windows = 0u64;
+        let mut n_windows = 0usize;
         for (sid, report) in reports.into_iter().enumerate() {
             let lane = Lane::Shard(sid as u32);
-            n_windows += report.windows.len() as u64;
+            n_windows += report.windows.len();
             if self.tracer.is_enabled() {
                 for w in &report.windows {
                     self.tracer.hop(
@@ -800,7 +779,6 @@ impl FleetService {
                         ("confidence", Value::from(na.alarm.confidence)),
                     ],
                 );
-                *self.alarms_by_label.entry(na.alarm.label.clone()).or_insert(0) += 1;
                 self.alarm_log.push(na);
             }
             if gating_open {
@@ -829,15 +807,13 @@ impl FleetService {
                 }
             }
         }
-        alarm_span.finish();
-        self.trace_stage(now, "alarm", trace_t0, n_windows);
+        stage.finish(self, now, &[("items", Value::from(n_windows))]);
 
         // 5. Feedback: enough pending requests → label, retrain, swap.
         //    A deferred round (oracle down) breaks out; the requests stay
         //    queued and the next tick retries after (simulated) backoff.
-        let trace_t0 = self.tracer.now_ns();
+        let stage = Stage::Feedback.start(self);
         let rounds_before = self.swap_ticks.len();
-        let feedback_span = self.obs.span("stage_ns", &[("stage", "feedback")]);
         while self.label_queue.len() >= self.cfg.retrain_batch
             && self.swap_ticks.len() < self.cfg.max_retrains
         {
@@ -845,18 +821,71 @@ impl FleetService {
                 break;
             }
         }
-        feedback_span.finish();
-        self.trace_stage(now, "feedback", trace_t0, (self.swap_ticks.len() - rounds_before) as u64);
+        let rounds = self.swap_ticks.len() - rounds_before;
+        stage.finish(self, now, &[("items", Value::from(rounds))]);
+
+        self.tick += 1;
+        self.wall_ns += start.elapsed().as_nanos() as u64;
     }
 
-    /// Worker threads the shard pool should run on right now:
-    /// `cfg.n_workers`, with `0` meaning "one per core", and never more
-    /// workers than shards (the assignment is static, so extra workers
-    /// would only idle).
-    fn effective_workers(&self) -> usize {
-        let auto = std::thread::available_parallelism().map_or(1, usize::from);
-        let w = if self.cfg.n_workers == 0 { auto } else { self.cfg.n_workers };
-        w.min(self.shards.len().max(1)).max(1)
+    /// Offers one sample into ingest — through the chaos injector and
+    /// quarantine gate first when the run is chaotic — and records its
+    /// ingest hop. Storm duplicates are offered after the original
+    /// (stressing the bounded queues); quarantined nodes' samples are
+    /// fenced off before ingest sees them.
+    fn offer_one(&mut self, mut s: TelemetrySample, now: usize) {
+        let node = s.node;
+        let mut storm = Vec::new();
+        if let Some(cz) = &mut self.chaos {
+            let duplicates = match cz.injector.apply(node, now, &mut s.at, &mut s.values) {
+                InjectAction::Drop => {
+                    Self::trace_ingest(&self.tracer, &self.shard_of, node, s.at, "blackout_drop");
+                    return;
+                }
+                InjectAction::Deliver { duplicates } => duplicates,
+            };
+            let bad = TelemetryInjector::looks_garbage(&s.values);
+            let kind = match cz.gate.observe(node, bad) {
+                Transition::Entered => Some("quarantine_enter"),
+                Transition::Released => Some("quarantine_release"),
+                Transition::None => None,
+            };
+            if let Some(kind) = kind {
+                self.obs.event(kind, &[("node", Value::from(node)), ("tick", Value::from(now))]);
+            }
+            if cz.gate.is_quarantined(node) {
+                cz.stats.quarantine_drops += 1;
+                Self::trace_ingest(&self.tracer, &self.shard_of, node, s.at, "quarantined");
+                return;
+            }
+            storm = vec![s.clone(); duplicates];
+        }
+        let at = s.at;
+        let accepted = self.ingest.offer(s);
+        let outcome = if accepted { "accepted" } else { "shed" };
+        Self::trace_ingest(&self.tracer, &self.shard_of, node, at, outcome);
+        for dup in storm {
+            self.ingest.offer(dup);
+        }
+    }
+
+    /// Records one per-sample ingest hop on the owning shard's lane.
+    /// The hop's trace id is derived from `(seed, node, at)` — the same
+    /// id the net gateway minted when it decoded the sample's frame, so
+    /// the chain is causal across the wire without carrying an id in it.
+    /// (Associated fn over disjoint fields: callers hold `&mut
+    /// self.chaos` while tracing.)
+    fn trace_ingest(tracer: &Tracer, shard_of: &[usize], node: usize, at: usize, outcome: &str) {
+        if !tracer.is_enabled() {
+            return;
+        }
+        let lane = shard_of.get(node).map_or(Lane::Service, |&s| Lane::Shard(s as u32));
+        tracer.hop(
+            lane,
+            &tracer.ctx(node, at),
+            "ingest_offer",
+            &[("outcome", Value::Str(outcome.to_string()))],
+        );
     }
 
     /// Rebuilds shard `id` from the service's own catalog — the
@@ -963,38 +992,24 @@ impl FleetService {
         if labelled.is_empty() {
             return true;
         }
-        let trace_t0 = self.tracer.now_ns();
-        let retrain_span = self.obs.span("retrain_ns", &[]);
+        let stage = Stage::Retrain.start(self);
         let model = self.retrainer.fold_in(labelled);
-        retrain_span.finish();
+        let round = self.swap_ticks.len() + 1;
+        let swap = [
+            ("round", Value::from(round)),
+            ("train_samples", Value::from(self.retrainer.n_samples())),
+        ];
+        stage.finish(self, now, &swap);
         for sh in &mut self.shards {
             sh.set_model(Arc::clone(&model));
         }
         self.model = model;
-        self.label_queue.record_retrain();
         // The marker commits the round: journal replay folds in exactly
         // the label batches that reached this point.
-        let round = self.swap_ticks.len() as u64 + 1;
-        self.journal_append_retrying(|j| j.append_retrain(round, now));
-        self.obs.event(
-            "model_swap",
-            &[
-                ("tick", Value::from(self.tick)),
-                ("round", Value::from(self.swap_ticks.len() + 1)),
-                ("train_samples", Value::from(self.retrainer.n_samples())),
-            ],
-        );
-        self.tracer.hop(
-            Lane::Service,
-            &self.tracer.service_ctx(now),
-            "retrain",
-            &[
-                ("round", Value::from(self.swap_ticks.len() + 1)),
-                ("train_samples", Value::from(self.retrainer.n_samples())),
-                ("dur_ns", Value::from(self.tracer.now_ns().saturating_sub(trace_t0))),
-            ],
-        );
-        self.swap_ticks.push(self.tick);
+        self.journal_append_retrying(|j| j.append_retrain(round as u64, now));
+        let [round_field, samples_field] = swap;
+        self.obs.event("model_swap", &[("tick", Value::from(now)), round_field, samples_field]);
+        self.swap_ticks.push(now);
         true
     }
 
@@ -1042,58 +1057,6 @@ impl FleetService {
                 FaultKind::StoreWriteError => cz.failpoints.arm("journal.append", 1),
                 FaultKind::FsyncFailure => cz.failpoints.arm("journal.torn", 1),
                 _ => {}
-            }
-        }
-    }
-
-    /// Routes one replay sample through the telemetry injector and the
-    /// quarantine gate, then into ingest. Storm duplicates are offered
-    /// after the original (stressing the bounded queues); quarantined
-    /// nodes' samples are fenced off before ingest sees them.
-    fn offer_through_chaos(&mut self, mut s: TelemetrySample, now: usize) {
-        let Some(cz) = &mut self.chaos else {
-            self.ingest.offer(s);
-            return;
-        };
-        let node = s.node;
-        match cz.injector.apply(node, now, &mut s.at, &mut s.values) {
-            InjectAction::Drop => {
-                Self::trace_ingest(&self.tracer, &self.shard_of, node, s.at, "blackout_drop");
-            }
-            InjectAction::Deliver { duplicates } => {
-                let bad = TelemetryInjector::looks_garbage(&s.values);
-                match cz.gate.observe(node, bad) {
-                    Transition::Entered => {
-                        self.obs.event(
-                            "quarantine_enter",
-                            &[("node", Value::from(node)), ("tick", Value::from(now))],
-                        );
-                    }
-                    Transition::Released => {
-                        self.obs.event(
-                            "quarantine_release",
-                            &[("node", Value::from(node)), ("tick", Value::from(now))],
-                        );
-                    }
-                    Transition::None => {}
-                }
-                if cz.gate.is_quarantined(node) {
-                    cz.stats.quarantine_drops += 1;
-                    Self::trace_ingest(&self.tracer, &self.shard_of, node, s.at, "quarantined");
-                    return;
-                }
-                let at = s.at;
-                let accepted = self.ingest.offer(s.clone());
-                Self::trace_ingest(
-                    &self.tracer,
-                    &self.shard_of,
-                    node,
-                    at,
-                    if accepted { "accepted" } else { "shed" },
-                );
-                for _ in 0..duplicates {
-                    self.ingest.offer(s.clone());
-                }
             }
         }
     }
@@ -1188,11 +1151,7 @@ impl FleetService {
     /// if the budget allows).
     pub fn run_to_completion(&mut self) -> ServiceStats {
         while self.tick() {}
-        if !self.label_queue.is_empty() && self.swap_ticks.len() < self.cfg.max_retrains {
-            self.retrain_round();
-        }
-        self.tracer.dump("shutdown");
-        self.stats()
+        self.finish()
     }
 
     /// Runs the service to completion fed from a [`NetFrontier`] (at
@@ -1214,13 +1173,20 @@ impl FleetService {
                 break;
             }
         }
+        let mut stats = self.finish();
+        stats.tenants = frontier.tenant_stats();
+        stats
+    }
+
+    /// The shutdown tail of a run: a final retrain round over leftover
+    /// label requests (if the budget allows), the flight-recorder dump,
+    /// and the stats snapshot.
+    fn finish(&mut self) -> ServiceStats {
         if !self.label_queue.is_empty() && self.swap_ticks.len() < self.cfg.max_retrains {
             self.retrain_round();
         }
         self.tracer.dump("shutdown");
-        let mut stats = self.stats();
-        stats.tenants = frontier.tenant_stats();
-        stats
+        self.stats()
     }
 
     /// The full per-tick batch schedule of this service's (held-out)
@@ -1255,7 +1221,10 @@ impl FleetService {
             })
             .collect();
         let windows: u64 = shards.iter().map(|s| s.counters.windows).sum();
-        let alarms: u64 = shards.iter().map(|s| s.counters.alarms).sum();
+        let mut alarms_by_label = BTreeMap::new();
+        for na in &self.alarm_log {
+            *alarms_by_label.entry(na.alarm.label.clone()).or_insert(0) += 1;
+        }
         // Fleet-wide latency: per-shard histograms merge exactly.
         let mut merged = Histogram::new();
         for sh in &self.shards {
@@ -1281,8 +1250,8 @@ impl FleetService {
             shards,
             windows,
             latency: LatencySummary::from_histogram(&merged),
-            alarms,
-            alarms_by_label: self.alarms_by_label.clone(),
+            alarms: self.alarm_log.len() as u64,
+            alarms_by_label,
             feedback,
             errors,
             chaos: self.chaos.as_ref().map(ChaosRuntime::snapshot),
@@ -1318,10 +1287,14 @@ impl FleetService {
         (node < self.n_nodes()).then(|| self.tracer.trace_json(node))
     }
 
-    /// Prometheus-style text exposition: every metric in the obs
-    /// registry plus the per-shard busy/latency histograms.
+    /// Prometheus-style text exposition: the ingest and shard drop
+    /// counters rendered from [`FleetService::stats`] (their only
+    /// record), every metric in the obs registry, then the per-shard
+    /// busy/latency histograms.
     pub fn prometheus(&self) -> String {
-        let mut out = self.obs.expose();
+        let mut out = String::new();
+        self.stats().expose_counters(&mut out);
+        out.push_str(&self.obs.expose());
         for sh in &self.shards {
             let label = format!("shard=\"{}\"", sh.id());
             sh.busy_histogram().snapshot().expose_into("shard_busy_ns", &label, &mut out);

@@ -15,7 +15,7 @@ use alba_active::uncertainty_score;
 use alba_data::{Matrix, MetricDef};
 use alba_features::{ExtractScratch, FeatureExtractor, FeatureView};
 use alba_ml::{Diagnosis, DiagnosisModel};
-use alba_obs::{Counter, Histogram, Obs};
+use alba_obs::{Histogram, Obs};
 use albadross::{Alarm, MonitorConfig, NodeMonitor};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -62,7 +62,7 @@ pub struct ShardStats {
     /// Samples ingested into this shard's monitors.
     pub samples: u64,
     /// Samples addressed to a node this shard does not own — skipped
-    /// (and counted in the obs registry), never a panic.
+    /// (and counted), never a panic.
     pub misrouted: u64,
     /// Windows diagnosed.
     pub windows: u64,
@@ -106,7 +106,6 @@ pub struct Shard {
     obs: Obs,
     /// `"0"`, `"1"`, ... — the obs label value for this shard.
     label: String,
-    misrouted_c: Counter,
 }
 
 impl Shard {
@@ -136,8 +135,6 @@ impl Shard {
             })
             .collect();
         let local = nodes.iter().enumerate().map(|(l, &n)| (n, l)).collect();
-        let label = id.to_string();
-        let misrouted_c = obs.counter("shard_misrouted_total", &[("shard", &label)]);
         Self {
             id,
             nodes,
@@ -155,8 +152,7 @@ impl Shard {
             busy: Histogram::new(),
             latency: Histogram::new(),
             obs,
-            label,
-            misrouted_c,
+            label: id.to_string(),
         }
     }
 
@@ -257,14 +253,12 @@ impl Shard {
             // bug; one bad packet must not panic the whole service.
             let Some(&l) = self.local.get(&s.node) else {
                 self.stats.misrouted += 1;
-                self.misrouted_c.inc();
                 continue;
             };
             // A reading vector that disagrees with the catalog would
             // index out of bounds inside the monitor; count and skip.
             if s.values.len() != self.metrics.len() {
                 self.stats.malformed += 1;
-                self.obs.counter("shard_malformed_total", &[("shard", &self.label)]).inc();
                 continue;
             }
             self.stats.samples += 1;

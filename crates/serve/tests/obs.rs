@@ -1,6 +1,7 @@
 //! Observability integration: deterministic JSONL event logs across
-//! equally-seeded runs, misrouted-sample resilience, and the
-//! Prometheus-style exposition of an observed service run.
+//! equally-seeded runs, misrouted-sample resilience, the
+//! Prometheus-style exposition of an observed service run, and the
+//! stage vocabulary metrics and traces share.
 
 use std::sync::Arc;
 
@@ -8,6 +9,7 @@ use alba_features::Mvts;
 use alba_obs::{MemorySink, Obs, TickClock};
 use alba_serve::{FleetService, ServeConfig, Shard, TelemetrySample};
 use alba_telemetry::Scale;
+use alba_trace::Tracer;
 use albadross::{prepare_split, MonitorConfig, SplitConfig, System, SystemData};
 
 fn test_config(seed: u64) -> ServeConfig {
@@ -62,9 +64,9 @@ fn event_logs_are_identical_across_equal_seeds() {
 fn exposition_is_identical_across_equal_seeds() {
     let expose = |seed| {
         let clock = Arc::new(TickClock::new());
-        let obs = Obs::with_clock(clock);
-        FleetService::with_obs(test_config(seed), obs.clone()).run_to_completion();
-        obs.expose()
+        let mut svc = FleetService::with_obs(test_config(seed), Obs::with_clock(clock));
+        svc.run_to_completion();
+        svc.prometheus()
     };
     let a = expose(77);
     let b = expose(77);
@@ -97,7 +99,6 @@ fn misrouted_sample_is_counted_not_fatal() {
     ));
     let metric_defs = replay.metrics().to_vec();
 
-    let obs = Obs::wall();
     // The shard owns node 0 only; node 7 is someone else's.
     let mut shard = Shard::new(
         0,
@@ -108,7 +109,7 @@ fn misrouted_sample_is_counted_not_fatal() {
         split.feature_view(),
         &MonitorConfig { window: 60, stride: 10, confirm: 2, min_confidence: 0.5 },
         true,
-        obs.clone(),
+        Obs::wall(),
     );
     let good = TelemetrySample { node: 0, at: 0, values: vec![0.0; metric_defs.len()] };
     let bad = TelemetrySample { node: 7, at: 0, values: vec![0.0; metric_defs.len()] };
@@ -116,7 +117,6 @@ fn misrouted_sample_is_counted_not_fatal() {
     assert!(report.alarms.is_empty());
     assert_eq!(shard.stats().samples, 1, "only the owned node's sample lands");
     assert_eq!(shard.stats().misrouted, 2, "foreign samples are counted, not fatal");
-    assert_eq!(obs.counter("shard_misrouted_total", &[("shard", "0")]).get(), 2);
 }
 
 #[test]
@@ -126,7 +126,7 @@ fn exposition_covers_stages_shards_and_events() {
     let stats = svc.run_to_completion();
     let text = svc.prometheus();
 
-    // Registry metrics: service stages, shard stages, ingest counters.
+    // Service stages, shard stages, ingest counters.
     for needle in [
         "# TYPE stage_ns histogram",
         "stage_ns_bucket{stage=\"process\"",
@@ -151,4 +151,40 @@ fn exposition_covers_stages_shards_and_events() {
     // The stage spans fired once per tick.
     let snap = obs.histogram("stage_ns", &[("stage", "process")]).snapshot().unwrap();
     assert_eq!(snap.count as usize, stats.ticks);
+    // The ingest and shard counters are rendered from the stats snapshot.
+    let accepted = format!("ingest_accepted_total {}\n", stats.ingest.pushed);
+    assert!(text.contains(&accepted), "exposition missing {accepted:?}");
+    assert!(text.contains("shard_misrouted_total{shard=\"0\"} 0\n"));
+}
+
+/// Metrics and traces break a tick down in one vocabulary: every tick
+/// stage records exactly one `stage_ns{stage}` sample and one
+/// service-lane hop of the same name per tick, and every retrain round
+/// one `retrain_ns` sample and one `retrain` hop.
+#[test]
+fn stage_histograms_and_service_hops_share_one_vocabulary() {
+    let clock = Arc::new(TickClock::new());
+    let obs = Obs::with_clock(clock.clone());
+    let tracer = Tracer::new(42, clock, Tracer::DEFAULT_RING);
+    let trace_sink = Arc::new(MemorySink::new());
+    tracer.set_sink(trace_sink.clone());
+    let mut svc = FleetService::with_tracer(test_config(42), obs.clone(), tracer);
+    let stats = svc.run_to_completion();
+
+    let hops = trace_sink.lines();
+    let service_hops = |stage: &str| {
+        let stage = format!("\"stage\":\"{stage}\"");
+        hops.iter().filter(|l| l.contains("\"lane\":\"service\"") && l.contains(&stage)).count()
+    };
+    let samples = |name: &str, labels: &[(&str, &str)]| {
+        obs.histogram(name, labels).snapshot().map_or(0, |s| s.count as usize)
+    };
+    assert!(stats.ticks > 0);
+    for stage in ["ingest", "drain", "process", "alarm", "feedback"] {
+        assert_eq!(samples("stage_ns", &[("stage", stage)]), stats.ticks, "{stage} histogram");
+        assert_eq!(service_hops(stage), stats.ticks, "{stage} hops");
+    }
+    assert!(!stats.swap_ticks.is_empty(), "the run must retrain");
+    assert_eq!(samples("retrain_ns", &[]), stats.swap_ticks.len());
+    assert_eq!(service_hops("retrain"), stats.swap_ticks.len());
 }

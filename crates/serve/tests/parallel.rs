@@ -40,7 +40,7 @@ fn tmpdir(name: &str) -> PathBuf {
 struct RunArtifacts {
     events: Vec<String>,
     traces: Vec<String>,
-    /// `obs.expose()` with the per-worker pool counters stripped: a
+    /// `svc.prometheus()` with the per-worker pool counters stripped: a
     /// worker's job/busy tally legitimately depends on the worker
     /// count; nothing else may.
     exposition: String,
@@ -64,12 +64,12 @@ fn observed_run(seed: u64, workers: usize) -> RunArtifacts {
     let trace_sink = Arc::new(MemorySink::new());
     tracer.set_sink(trace_sink.clone());
 
-    let mut svc = FleetService::with_tracer(test_config(seed, workers), obs.clone(), tracer);
+    let mut svc = FleetService::with_tracer(test_config(seed, workers), obs, tracer);
     svc.run_to_completion();
     RunArtifacts {
         events: sink.lines(),
         traces: trace_sink.lines(),
-        exposition: strip_worker_counters(&obs.expose()),
+        exposition: strip_worker_counters(&svc.prometheus()),
         model_json: svc.model().to_json(),
     }
 }
@@ -116,14 +116,14 @@ fn chaotic_run(seed: u64, workers: usize, plan: FaultPlan) -> (RunArtifacts, u64
     let obs = Obs::with_clock(Arc::new(TickClock::new()));
     let sink = Arc::new(MemorySink::new());
     obs.set_sink(sink.clone());
-    let mut svc = FleetService::with_chaos_plan(test_config(seed, workers), plan, obs.clone());
+    let mut svc = FleetService::with_chaos_plan(test_config(seed, workers), plan, obs);
     let stats = svc.run_to_completion();
     let restarts = stats.chaos.as_ref().map_or(0, |c| c.shard_restarts);
     (
         RunArtifacts {
             events: sink.lines(),
             traces: Vec::new(),
-            exposition: strip_worker_counters(&obs.expose()),
+            exposition: strip_worker_counters(&svc.prometheus()),
             model_json: svc.model().to_json(),
         },
         restarts,

@@ -77,13 +77,24 @@ if [ "$FULL" = "1" ]; then
 fi
 
 echo "==> observability smoke (fleet_monitor example + artifact checks)"
-cargo run --release --example fleet_monitor >/dev/null
-python3 - <<'EOF'
+OUT_MON=$(mktemp -d)
+trap 'rm -rf "$OUT_MON"' EXIT
+# One worker: the committed exposition carries one par_worker_* row per
+# worker thread, so only a pinned count can reproduce it byte for byte.
+ALBA_WORKERS=1 ALBA_MONITOR_OUT="$OUT_MON" cargo run --release --example fleet_monitor >/dev/null
+for f in fleet_monitor_events.jsonl fleet_monitor_metrics.prom; do
+    cmp "$OUT_MON/$f" "results/$f" \
+        || { echo "$f no longer reproduces the committed results/$f" >&2; exit 1; }
+done
+python3 - "$OUT_MON" <<'EOF'
 import json
+import pathlib
+import sys
 
+out = pathlib.Path(sys.argv[1])
 # Every event line must be a JSON object with ts and kind.
 kinds = set()
-with open("results/fleet_monitor_events.jsonl") as f:
+with open(out / "fleet_monitor_events.jsonl") as f:
     lines = [line.rstrip("\n") for line in f]
 assert lines, "the observed example must emit events"
 for line in lines:
@@ -93,7 +104,7 @@ for line in lines:
 assert "label_request" in kinds and "model_swap" in kinds, kinds
 
 # The exposition dump must parse: TYPE headers, then name{labels} value.
-with open("results/fleet_monitor_metrics.prom") as f:
+with open(out / "fleet_monitor_metrics.prom") as f:
     metrics = [line.rstrip("\n") for line in f if line.strip()]
 names = set()
 for line in metrics:
@@ -114,7 +125,7 @@ echo "==> store smoke (cold run populates, warm run hits, results identical)"
 STORE_DIR=$(mktemp -d)
 OUT_COLD=$(mktemp -d)
 OUT_WARM=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM"' EXIT
 cargo run --release -p alba-bench --bin repro -- \
     --exp fig3 --scale smoke --store "$STORE_DIR" --out "$OUT_COLD" >/dev/null
 cargo run --release -p alba-bench --bin repro -- \
@@ -144,7 +155,7 @@ EOF
 echo "==> chaos smoke (seeded drill: recovery counters > 0, log replay byte-identical)"
 OUT_CHAOS_A=$(mktemp -d)
 OUT_CHAOS_B=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B"' EXIT
 # The drill itself exits non-zero unless faults were injected *and*
 # recovered from; two runs of one seeded plan must log identically.
 cargo run --release -p alba-bench --bin repro -- \
@@ -190,7 +201,7 @@ ALBA_BENCH_QUICK=1 ALBA_STORE_IO_ASSERT=10 \
 echo "==> gateway smoke (two equal-seed TCP runs byte-identical, Prometheus scrape parses)"
 OUT_GW_A=$(mktemp -d)
 OUT_GW_B=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B"' EXIT
 # The example itself asserts that the captured wire session replays
 # byte-identically offline (and that /trace/0 + /flightrec scrape
 # cleanly); CI additionally pins down that two independent live TCP
@@ -206,6 +217,11 @@ cmp "$OUT_GW_A/fleet_gateway_trace.jsonl" "$OUT_GW_B/fleet_gateway_trace.jsonl" 
     || { echo "gateway trace logs diverged across equal-seed runs" >&2; exit 1; }
 cmp "$OUT_GW_A/flightrec_shutdown.jsonl" "$OUT_GW_B/flightrec_shutdown.jsonl" \
     || { echo "flight-recorder dumps diverged across equal-seed runs" >&2; exit 1; }
+# And both runs reproduce the committed artifacts.
+for f in fleet_gateway_events.jsonl fleet_gateway_trace.jsonl fleet_gateway_metrics.prom; do
+    cmp "$OUT_GW_A/$f" "results/$f" \
+        || { echo "$f no longer reproduces the committed results/$f" >&2; exit 1; }
+done
 python3 - "$OUT_GW_A" <<'EOF'
 import json
 import pathlib
@@ -347,7 +363,7 @@ GRID_STORE=$(mktemp -d)
 OUT_GRID_COLD=$(mktemp -d)
 OUT_GRID_PART=$(mktemp -d)
 OUT_GRID_RES=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES"' EXIT
 # Reference: the full CI spec, storeless — every cell computed fresh.
 cargo run --release -p alba-bench --bin repro -- \
     --grid specs/grid_ci.json --grid-workers 2 --out "$OUT_GRID_COLD" >/dev/null
@@ -390,7 +406,7 @@ FIG8_STORE=$(mktemp -d)
 OUT_FIG8_COLD=$(mktemp -d)
 OUT_FIG8_PRIME=$(mktemp -d)
 OUT_FIG8_RES=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$FIG8_STORE" "$OUT_FIG8_COLD" "$OUT_FIG8_PRIME" "$OUT_FIG8_RES"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$FIG8_STORE" "$OUT_FIG8_COLD" "$OUT_FIG8_PRIME" "$OUT_FIG8_RES"' EXIT
 cargo run --release -p alba-bench --bin repro -- \
     --grid specs/fig8.json --scale smoke --seed 7 --out "$OUT_FIG8_COLD" >/dev/null
 # The first store run persists every cell; the second resumes from them.
@@ -431,7 +447,7 @@ EOF
 echo "==> parallel smoke (fleet_monitor at 1 vs 4 workers: artifacts byte-identical)"
 OUT_PAR_1=$(mktemp -d)
 OUT_PAR_4=$(mktemp -d)
-trap 'rm -rf "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$FIG8_STORE" "$OUT_FIG8_COLD" "$OUT_FIG8_PRIME" "$OUT_FIG8_RES" "$OUT_PAR_1" "$OUT_PAR_4"' EXIT
+trap 'rm -rf "$OUT_MON" "$STORE_DIR" "$OUT_COLD" "$OUT_WARM" "$OUT_CHAOS_A" "$OUT_CHAOS_B" "$OUT_GW_A" "$OUT_GW_B" "$GRID_STORE" "$OUT_GRID_COLD" "$OUT_GRID_PART" "$OUT_GRID_RES" "$FIG8_STORE" "$OUT_FIG8_COLD" "$OUT_FIG8_PRIME" "$OUT_FIG8_RES" "$OUT_PAR_1" "$OUT_PAR_4"' EXIT
 ALBA_WORKERS=1 ALBA_MONITOR_OUT="$OUT_PAR_1" \
     cargo run --release --example fleet_monitor >/dev/null
 ALBA_WORKERS=4 ALBA_MONITOR_OUT="$OUT_PAR_4" \
